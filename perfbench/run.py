@@ -39,8 +39,8 @@ import oracle  # noqa: E402
 import tracer  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
-SETUP_SPAWNS = 12  # fresh interpreters timed for setup_s, half before and
-# half after the measured worker; their median is reported
+SETUP_SPAWNS = 6  # fresh interpreters timed for setup_s before the worker,
+# and again after it; the median of all of them is reported
 WORKER_TIMEOUT_S = 150
 SETUP_CODE = (
     "import time\n"
@@ -98,7 +98,8 @@ def check_ops(ops, expected, result) -> tuple[int, int, list[str]]:
             if reason:
                 failed += 1
                 if len(reasons) < 5:
-                    reasons.append(f"op {i} {' '.join(ops[i]['argv'])}: {reason}")
+                    reasons.append(f"op {i} {' '.join(ops[i]['argv'])}: "
+                                   f"{reason[-300:]}")
     return attempted, failed, reasons
 
 
@@ -172,13 +173,13 @@ def main(argv=None) -> int:
 
     if args.trace == 0:
         measure_setup(1)  # compiles and caches bytecode; not timed
-        setup_times = measure_setup(SETUP_SPAWNS // 2)
+        setup_times = measure_setup(SETUP_SPAWNS)
     reference = run_worker(ops_path, run_dir / "untraced", args.seconds, False)
     attempted, failed, reasons = check_ops(ops, expected, reference)
     info = {"machine": machine(), "workload": args.workload, "seed": args.seed,
             "ops_per_pass": len(ops), "passes": len(reference["passes"])}
     if args.trace == 0:
-        setup_times += measure_setup(SETUP_SPAWNS - SETUP_SPAWNS // 2)
+        setup_times += measure_setup(SETUP_SPAWNS)
         metrics = end_to_end(reference, statistics.median(setup_times),
                              attempted, failed)
         info["latency_samples"] = len(ops)

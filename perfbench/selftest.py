@@ -169,11 +169,16 @@ def test_self_time_arithmetic_on_nested_spans():
     assert tracer.analyze(keys, two_roots)["bad_ops"] == [0]
 
 
-def _traced_counts(workload, n_ops=12):
+def _traced_counts(workload, per_kind=4):
+    """Layer call counts of a traced pass over a few ops of every kind."""
     out = OUT / "isolation" / workload
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
-    ops = generate(workload, 0, out / "run", ROOT)[:n_ops]
+    ops, seen = [], {}
+    for op in generate(workload, 0, out / "run", ROOT):
+        seen[op["kind"]] = seen.get(op["kind"], 0) + 1
+        if seen[op["kind"]] <= per_kind:
+            ops.append(op)
     ops_path = out / "ops.json"
     ops_path.write_text(json.dumps([op["argv"] for op in ops]))
     runs = []

@@ -19,6 +19,7 @@ import json
 import resource
 import sys
 import time
+import traceback
 from pathlib import Path
 
 
@@ -38,8 +39,8 @@ def run_pass(main, ops, tracer=None):
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
-            except Exception as exc:  # an op failure; the run goes on
-                code, error = None, f"{type(exc).__name__}: {exc}"
+            except Exception:  # an op failure; the run goes on
+                code, error = None, traceback.format_exc()
             t1 = clock()
         records.append((t1 - t0, code, out.getvalue(), err.getvalue(), error))
     return clock() - pass_start, records
