@@ -51,9 +51,12 @@ SETUP_CODE = (
 
 
 def child_env() -> dict:
+    """Environment of every child interpreter.  Bytecode caching is left on,
+    as a user has it, so ``setup_s`` does not time compilation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     env["PYTHONHASHSEED"] = "0"
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.pop("CYCLICCOVER_BUDGET", None)
     return env
 
