@@ -21,6 +21,7 @@ Each ``check`` returns ``None`` for a correct op or a one-line reason.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 EXIT_OK, EXIT_BUDGET = 0, 3
@@ -82,6 +83,64 @@ def k_star(kind: str, config: dict) -> int:
     return lo
 
 
+# -- lemma instance counts ------------------------------------------------------
+
+
+def num_instances(max_m: int, max_K: int, max_ell: int, max_q: int) -> int:
+    """Instances in a ``num`` box: head multisets of (K_i, l_i) pairs times
+    tail multisets of K_i, with every q for a non-empty tail."""
+    pairs = max_K * (max_ell - 1)
+    return sum(
+        math.comb(pairs + m - 1, m)
+        * (1 + max_q * sum(math.comb(max_K + t - 1, t)
+                           for t in range(1, max_m - m + 1)))
+        for m in range(1, max_m + 1))
+
+
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n (the staircases of colength n)."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
+def _partitions_into(n: int, count: int, largest: int):
+    """Partitions of n into exactly ``count`` parts of at most ``largest``,
+    as descending tuples."""
+    if count == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(min(n - count + 1, largest), 0, -1):
+        for rest in _partitions_into(n - first, count - 1, first):
+            yield (first,) + rest
+
+
+def alg_instances(k: int, ell: int) -> int:
+    """Instances in an ``alg`` box: staircase tuples (I_1, ..., I_ell) whose
+    colengths form a partition of k into ell parts, I_1 the largest."""
+    return sum(math.prod(partition_count(c) for c in colengths)
+               for colengths in _partitions_into(k, ell, k))
+
+
+# Every claim ``examples`` must report, in order: (entry, kind, comparison,
+# value, k_star).  The k_star values follow from the README formulas for
+# each catalog scenario; the self-tests recompute them with ``k_star``.
+EXAMPLE_CLAIMS = (
+    ("abelian-principal", "jet", "==", -1, -1),
+    ("abelian-principal", "very", "==", -1, -1),
+    ("elliptic-product", "jet", "==", 3, 3),
+    ("projective-space-r2d2", "jet", "==", 1, 1),
+    ("projective-space-r3d3", "jet", "==", 2, 2),
+    ("geiser", "very", ">=", 3, 3),
+    ("geiser", "very", "==", 3, 3),
+    ("bertini", "jet", ">=", 2, 2),
+    ("bertini-quoted-borderline", "jet", ">=", 2, 0),
+)
+
+
 # -- expectations and checks -------------------------------------------------
 
 
@@ -93,6 +152,16 @@ def expect(op: dict):
     if op["kind"] == "sigma-table":
         return {(q, k): v for k in range(p["kmax"] + 1)
                 for q, v in sigma_rows(k, p["d"]).items()}
+    if op["kind"] == "num":
+        max_m, max_K, max_ell, max_q = p["box"]
+        return {"box": {"max_m": max_m, "max_K": max_K, "max_ell": max_ell,
+                        "max_q": max_q},
+                "instances": num_instances(*p["box"])}
+    if op["kind"] == "alg":
+        return {"box": {"k": p["k"], "ell": p["ell"]},
+                "instances": alg_instances(p["k"], p["ell"])}
+    if op["kind"] == "examples":
+        return EXAMPLE_CLAIMS
     return None
 
 
@@ -172,6 +241,7 @@ def _table_rows(fmt, lines, kmax):
         raise ValueError(f"unknown table format {fmt!r}")
 
 
+_ENTRY = re.compile(r"^\[([^\]]+)\] ")
 _CLAIM = re.compile(
     r"^  (jet|very) k_star=(-?\d+) (==|>=|<=) (-?\d+): (PASS|FAIL|INFO\(not met\))")
 _COMPARE = {"==": lambda a, b: a == b, ">=": lambda a, b: a >= b,
@@ -179,42 +249,71 @@ _COMPARE = {"==": lambda a, b: a == b, ">=": lambda a, b: a >= b,
 
 
 def _check_examples(params, expected, stdout, stderr):
-    claims = []
+    claims, statuses = [], []
     if params["format"] == "structured-records":
         for line in filter(None, stdout.splitlines()):
             r = json.loads(line)
-            status = "PASS" if r["holds"] else (
-                "INFO(not met)" if r["provenance"] == "informational" else "FAIL")
-            claims.append((r["k_star"], r["comparison"], r["value"], status,
-                           r["holds"]))
+            claims.append((r["entry"], r["kind"], r["comparison"], r["value"],
+                           r["k_star"]))
+            statuses.append(("PASS" if r["holds"] else "INFO(not met)"
+                             if r["provenance"] == "informational" else "FAIL",
+                             r["holds"]))
     else:
+        entry = None
         for line in stdout.splitlines():
+            m = _ENTRY.match(line)
+            if m:
+                entry = m.group(1)
+                continue
             m = _CLAIM.match(line)
             if m:
-                claims.append((int(m.group(2)), m.group(3), int(m.group(4)),
-                               m.group(5), None))
-    if not claims:
-        return "no claims reported"
-    for k, cmp, value, status, holds in claims:
+                claims.append((entry, m.group(1), m.group(3), int(m.group(4)),
+                               int(m.group(2))))
+                statuses.append((m.group(5), None))
+    if claims != list(expected):
+        wrong = [c for c in claims if c not in expected][:2]
+        return f"{len(claims)} claims, {len(expected)} expected; e.g. {wrong}"
+    for (entry, kind, cmp, value, k), (status, holds) in zip(claims, statuses):
         truth = _COMPARE[cmp](k, value)
         if holds is not None and holds != truth:
-            return f"claim k_star={k} {cmp} {value} reported holds={holds}"
+            return f"{entry} {kind} k_star={k} {cmp} {value} reported holds={holds}"
         if status == "FAIL" or (status == "PASS") != truth:
-            return f"claim k_star={k} {cmp} {value} reported {status}"
+            return f"{entry} {kind} k_star={k} {cmp} {value} reported {status}"
     return None
+
+
+_BOX = re.compile(r"^box((?: \w+=\d+)+)$")
+_INSTANCES = re.compile(r"^instances checked: (\d+)$")
+
+
+def _field(pattern, lines) -> str:
+    """Group 1 of the first line matching ``pattern``."""
+    for line in lines:
+        m = pattern.match(line)
+        if m:
+            return m.group(1)
+    raise ValueError(f"no line matches {pattern.pattern!r}")
 
 
 def _check_lemma(params, expected, stdout, stderr):
     if params["format"] == "structured-records":
         r = json.loads(stdout)
-        if not r["passed"] or r["counterexamples"]:
-            return f"lemma {r['lemma']} did not pass"
-        return None
-    lines = stdout.splitlines()
-    if not re.match(r"^lemma (num|alg): PASS$", lines[0]):
-        return f"first line {lines[0]!r}"
-    if any(line.startswith("counterexample") for line in lines):
-        return "counterexample reported"
+        passed, counterexamples = r["passed"], r["counterexamples"]
+        box, instances = r["parameter_box"], r["instances_checked"]
+    else:
+        lines = stdout.splitlines()
+        passed = bool(re.match(r"^lemma (num|alg): PASS$", lines[0]))
+        counterexamples = [line for line in lines
+                           if line.startswith("counterexample")]
+        box = {key: int(v) for key, v in
+               (item.split("=") for item in _field(_BOX, lines).split())}
+        instances = int(_field(_INSTANCES, lines))
+    if not passed or counterexamples:
+        return "lemma did not pass"
+    if box != expected["box"]:
+        return f"box {box}, expected {expected['box']}"
+    if instances != expected["instances"]:
+        return f"{instances} instances checked, expected {expected['instances']}"
     return None
 
 

@@ -39,6 +39,9 @@ import oracle  # noqa: E402
 import tracer  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
+# Op latencies are reported as if the worker's reference loop took this
+# long; see adjusted_ms.
+REFERENCE_MS = 1.0
 SETUP_SPAWNS = 6  # fresh interpreters timed for setup_s before the worker,
 # and again after it; the median of all of them is reported
 WORKER_TIMEOUT_S = 150
@@ -106,28 +109,49 @@ def check_ops(ops, expected, result) -> tuple[int, int, list[str]]:
     return attempted, failed, reasons
 
 
-def best_latencies_ms(result) -> list[float]:
-    """Each op's fastest latency over the run's passes.
+def adjusted_ms(p) -> list[float]:
+    """One pass's op latencies, scaled to a host on which the reference loop
+    takes ``REFERENCE_MS``.  Each op's time is divided by the mean of the
+    reference times measured just before and just after it."""
+    refs = p["refs"]
+    return [op[0] / ((refs[i] + refs[i + 1]) / 2) * REFERENCE_MS
+            for i, op in enumerate(p["ops"])]
 
-    The host's speed swings by up to 1.8x in phases lasting seconds to
-    minutes, and a slow phase only ever adds time, so the minimum over
-    passes spread across the run is the steadiest estimate of an op's cost.
+
+def latency_metrics(per_pass: list[list[float]]) -> dict:
+    """Throughput and percentiles from per-pass op latencies in ms.
+
+    ``ops_per_s`` uses the median over passes of a whole pass's time, so
+    costs that land on a different op in each pass (full collections,
+    first-call cache fills) stay in it.  The percentiles use each op's
+    median latency over the passes.
     """
-    passes = result["passes"]
-    return [min(p["ops"][i][0] for p in passes) / 1e6
-            for i in range(len(passes[0]["ops"]))]
+    lat = [statistics.median(p[i] for p in per_pass)
+           for i in range(len(per_pass[0]))]
+    pass_ms = statistics.median(sum(p) for p in per_pass)
+    return {
+        "ops_per_s": (len(lat) / pass_ms * 1e3, "1/s"),
+        "op_p50_ms": (statistics.median(lat), "ms"),
+        "op_p90_ms": (statistics.quantiles(lat, n=10, method="inclusive")[8], "ms"),
+    }
 
 
 def end_to_end(result, setup_s: float, attempted: int, failed: int) -> dict:
-    lat = best_latencies_ms(result)
     return {
         "setup_s": (setup_s, "s"),
-        "ops_per_s": (len(lat) / (sum(lat) / 1e3), "1/s"),
-        "op_p50_ms": (statistics.median(lat), "ms"),
-        "op_p90_ms": (statistics.quantiles(lat, n=10, method="inclusive")[8], "ms"),
+        **latency_metrics([adjusted_ms(p) for p in result["passes"]]),
         "peak_rss_mb": (result["maxrss_kb"] / 1024, "MB"),
         "op_ok_ratio": ((attempted - failed) / attempted, "ratio"),
     }
+
+
+def unadjusted(result) -> dict:
+    """The wall-clock figures behind the adjusted ones, for the record."""
+    passes = result["passes"]
+    raw = latency_metrics([[op[0] / 1e6 for op in p["ops"]] for p in passes])
+    refs = [r for p in passes for r in p["refs"]]
+    return {**{name: value for name, (value, _) in raw.items()},
+            "reference_ms": statistics.median(refs) / 1e6}
 
 
 def op_stats(ops, result) -> dict:
@@ -185,7 +209,7 @@ def main(argv=None) -> int:
         setup_times += measure_setup(SETUP_SPAWNS)
         metrics = end_to_end(reference, statistics.median(setup_times),
                              attempted, failed)
-        info["latency_samples"] = len(ops)
+        info["unadjusted"] = unadjusted(reference)
     else:
         traced = run_worker(ops_path, run_dir / "traced", 0, True)
         a, f, r = check_ops(ops, expected, traced)
@@ -197,10 +221,11 @@ def main(argv=None) -> int:
             failed += len(analysis["bad_ops"])
             reasons.append(f"self times do not sum to the root span on ops "
                            f"{analysis['bad_ops'][:5]}")
-        untraced_pass = statistics.median(p["wall_ns"] for p in reference["passes"])
+        untraced_pass = statistics.median(sum(op[0] for op in p["ops"])
+                                          for p in reference["passes"])
+        traced_pass = sum(op[0] for op in traced["passes"][0]["ops"])
         metrics = tracer.per_layer_metrics(
-            summary, analysis, op_stats(ops, traced),
-            traced["passes"][0]["wall_ns"] / untraced_pass)
+            summary, analysis, op_stats(ops, traced), traced_pass / untraced_pass)
         info["spans"] = summary["span_count"]
         info["layer_calls"] = tracer.layer_counts(summary)
     info["failures"] = reasons

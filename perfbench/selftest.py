@@ -23,7 +23,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import oracle  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
-from workloads import WORKLOADS, generate, num_instances  # noqa: E402
+from workloads import WORKLOADS, generate  # noqa: E402
 
 
 OUT = ROOT / ".perfbench_out" / "selftest"
@@ -48,11 +48,16 @@ def test_generator_is_deterministic_and_seeded(workload):
     assert len(first[0]) >= 100
 
 
-def test_num_instance_formula_matches_the_oracle_run():
-    from cycliccover.lemmas import check_lemma_num
+def test_lemma_instance_counts_match_the_library():
+    from cycliccover.lemmas import check_lemma_alg, check_lemma_num
 
     for box in [(1, 3, 2, 1), (2, 6, 4, 3), (3, 5, 4, 3), (2, 10, 6, 5)]:
-        assert num_instances(*box) == check_lemma_num(*box).instances_checked
+        assert (oracle.num_instances(*box)
+                == check_lemma_num(*box).instances_checked), box
+    for ell in range(2, 6):
+        for k in range(ell, ell + 8):
+            assert (oracle.alg_instances(k, ell)
+                    == check_lemma_alg(k, ell).instances_checked), (k, ell)
 
 
 def _config(d, entries):
@@ -94,6 +99,20 @@ def test_oracle_agrees_with_engine_on_catalog():
                 == _engine_k_stars(scenario.d, entries)), entry.id
 
 
+def test_example_claims_follow_from_the_formulas():
+    from cycliccover.catalog import default_catalog
+
+    catalog = {entry.id: entry for entry in default_catalog()}
+    assert [c[0] for c in oracle.EXAMPLE_CLAIMS] == [
+        entry.id for entry in catalog.values() for _ in entry.claims]
+    for entry_id, kind, cmp, value, k in oracle.EXAMPLE_CLAIMS:
+        scenario = catalog[entry_id].scenario()
+        config = _config(scenario.d, dict(scenario.profile.entries))
+        assert oracle.k_star(kind, config) == k, entry_id
+        assert (kind, cmp, value) in {(c.kind, c.comparison, c.value)
+                                      for c in catalog[entry_id].claims}
+
+
 def test_oracle_sigma_matches_library():
     from cycliccover.combinatorics import sigma
 
@@ -121,9 +140,37 @@ def test_oracle_rejects_wrong_outputs():
     assert oracle.check(table, want, 0, csv, "") is None
     assert oracle.check(table, want, 0, csv.replace(",,,0", ",,,1"), "")
 
-    lemma = {"kind": "num", "params": {"format": "plain"}}
-    assert oracle.check(lemma, None, 0, "lemma num: PASS\nbox x=1\n", "") is None
-    assert oracle.check(lemma, None, 0, "lemma num: FAIL\n", "")
+    num = {"kind": "num", "params": {"box": [2, 3, 3, 2], "format": "plain"}}
+    want = oracle.expect(num)
+    out = ("lemma num: PASS\nbox max_K=3 max_ell=3 max_m=2 max_q=2\n"
+           "instances checked: 63\nmin slack (bound - observed): 0\n")
+    assert oracle.check(num, want, 0, out, "") is None
+    assert oracle.check(num, want, 0, out.replace("PASS", "FAIL"), "")
+    assert oracle.check(num, want, 0, out.replace(": 63", ": 0"), "")
+    assert oracle.check(num, want, 0, out.replace("max_K=3", "max_K=2"), "")
+    alg = {"kind": "alg", "params": {"k": 5, "ell": 3,
+                                     "format": "structured-records"}}
+    record = {"counterexamples": [], "instances_checked": 7, "lemma": "alg",
+              "parameter_box": {"ell": 3, "k": 5}, "passed": True}
+    want = oracle.expect(alg)
+    assert oracle.check(alg, want, 0, json.dumps(record), "") is None
+    for key, value in [("instances_checked", 6), ("parameter_box", {"ell": 3}),
+                       ("passed", False), ("counterexamples", [{}])]:
+        assert oracle.check(alg, want, 0, json.dumps(record | {key: value}), "")
+
+    examples = {"kind": "examples", "params": {"format": "structured-records"}}
+    want = oracle.expect(examples)
+    records = [{"entry": e, "kind": kind, "comparison": cmp, "value": v,
+                "k_star": k, "holds": cmp == "==" and k == v or cmp == ">=" and k >= v,
+                "provenance": "informational" if k < v else "stated"}
+               for e, kind, cmp, v, k in want]
+    out = "\n".join(json.dumps(r) for r in records)
+    assert oracle.check(examples, want, 0, out, "") is None
+    shifted = [r | {"k_star": r["k_star"] + 1, "value": r["value"] + 1}
+               for r in records]
+    assert oracle.check(examples, want, 0,
+                        "\n".join(json.dumps(r) for r in shifted), "")
+    assert oracle.check(examples, want, 0, "\n".join(out.splitlines()[1:]), "")
 
     local = {"kind": "local", "params": {"d": 2, "trials": 1}}
     lines = [{"check": "vandermonde", "residual_zero": True}] * 2 + [
@@ -135,6 +182,18 @@ def test_oracle_rejects_wrong_outputs():
     refused = {"kind": "local", "params": {"d": 11, "trials": 0}}
     assert oracle.check(refused, None, 3, "", "budget exhausted: cap") is None
     assert oracle.check(refused, None, 0, "", "")
+
+
+def test_latencies_are_scaled_by_the_neighbouring_references():
+    ops = [[4_000_000, 0, "", 0, None], [5_000_000, 0, "", 0, None]]
+    assert run.adjusted_ms({"refs": [1e6, 3e6, 2e6], "ops": ops}) == [
+        4 / 2 * run.REFERENCE_MS, 5 / 2.5 * run.REFERENCE_MS]
+    slow = [[8_000_000, 0, "", 0, None], [10_000_000, 0, "", 0, None]]
+    per_pass = [run.adjusted_ms({"refs": [2e6, 6e6, 4e6], "ops": slow}),
+                run.adjusted_ms({"refs": [1e6, 3e6, 2e6], "ops": ops})]
+    assert per_pass[0] == per_pass[1]
+    metrics = run.latency_metrics(per_pass)
+    assert metrics["ops_per_s"][0] == 2 / (4 * run.REFERENCE_MS) * 1e3
 
 
 def _spans(rows):

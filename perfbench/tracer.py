@@ -40,8 +40,7 @@ COLUMNS = (("names", "i"), ("parents", "q"), ("ops", "i"),
 class Tracer:
     """Counters and spans for one traced worker process."""
 
-    def __init__(self, clock=time.perf_counter_ns):
-        self.clock = clock
+    def __init__(self):
         self.keys: list[str] = []           # span name id -> wrapped key
         self._key_ids: dict[str, int] = {}
         self.counters: list[tuple[str, str, list]] = []  # (site, key, [n])
@@ -107,7 +106,7 @@ class Tracer:
         cols = self.columns
         names, parents, ops = cols["names"], cols["parents"], cols["ops"]
         starts, ends = cols["starts"], cols["ends"]
-        clock, st = self.clock, self
+        clock, st = time.perf_counter_ns, self
 
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
@@ -145,10 +144,10 @@ class Tracer:
     def on_gc(self, phase: str, info: dict) -> None:
         """``gc.callbacks`` hook: count collections and their time."""
         if phase == "start":
-            self._gc_start = self.clock()
+            self._gc_start = time.perf_counter_ns()
         else:
             self.gc_collections += 1
-            self.gc_ns += self.clock() - self._gc_start
+            self.gc_ns += time.perf_counter_ns() - self._gc_start
 
     def start_gc_tracking(self) -> None:
         gc.callbacks.append(self.on_gc)

@@ -13,6 +13,7 @@ traced run also writes its spans to OUT_DIR/spans.bin.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -20,14 +21,48 @@ import resource
 import sys
 import time
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 
+def _reference() -> int:
+    """Fixed pure-Python work that uses nothing from ``cycliccover``: integer
+    arithmetic through function calls and a Fraction sum, like the
+    program's inner loops.  Its time follows the host's speed."""
+    def tau(k, ell):
+        return k - k // ell - ell + (k % ell == 0) + 1
+
+    n = sum(max(tau(k, ell) for ell in range(2, 9)) for k in range(1, 400))
+    total = Fraction(0)
+    for i in range(1, 160):
+        total += Fraction(i % 7 + 1, i)
+    return n + total.denominator
+
+
+def time_reference() -> int:
+    """ns one run of ``_reference`` takes, with the collector paused so the
+    program's heap does not enter the figure."""
+    enabled = gc.isenabled()
+    gc.disable()
+    t0 = time.perf_counter_ns()
+    _reference()
+    t1 = time.perf_counter_ns()
+    if enabled:
+        gc.enable()
+    return t1 - t0
+
+
 def run_pass(main, ops, tracer=None):
-    """One pass; returns (wall ns, [(latency ns, exit, stdout, stderr, error)])."""
+    """One pass; returns (wall ns, reference ns, records).
+
+    The reference is timed before the first op and after every op, so op i
+    lies between reference samples i and i + 1.  Each record is
+    (latency ns, exit, stdout, stderr, error).
+    """
     records = []
     clock = time.perf_counter_ns
     pass_start = clock()
+    refs = [time_reference()]
     for op_id, argv in enumerate(ops):
         if tracer is not None:
             tracer.op = op_id
@@ -43,7 +78,8 @@ def run_pass(main, ops, tracer=None):
                 code, error = None, traceback.format_exc()
             t1 = clock()
         records.append((t1 - t0, code, out.getvalue(), err.getvalue(), error))
-    return clock() - pass_start, records
+        refs.append(time_reference())
+    return clock() - pass_start, refs, records
 
 
 def main(argv: list[str]) -> int:
@@ -67,11 +103,11 @@ def main(argv: list[str]) -> int:
 
     passes, outputs, measured = [], None, 0
     while True:
-        wall, records = run_pass(cli_main, ops, tracer)
+        wall, refs, records = run_pass(cli_main, ops, tracer)
         measured += wall
         if outputs is None:
             outputs = [[r[2], r[3]] for r in records]
-        passes.append({"wall_ns": wall, "ops": [
+        passes.append({"refs": refs, "ops": [
             [lat, code, hashlib.sha1(stdout.encode()).hexdigest(),
              len(stdout.encode()), error]
             for lat, code, stdout, _, error in records]})

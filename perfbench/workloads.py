@@ -7,19 +7,19 @@ turns a workload seed into program inputs: the program sees nothing but the
 argv lists and the config files written here.
 
 Every continuous or integer draw is stratified: ``n`` draws take one uniform
-from each of ``n`` equal strata, then get shuffled.  The seed therefore
+from each of ``n`` equal strata.  The seed therefore
 changes every input while a run's cost profile (the sorted op costs, which
 set throughput and latency percentiles) stays nearly the same from seed to
 seed.  Op costs are driven by explicit work targets so that the ops on
 either side of the 50th and 90th latency percentiles belong to one class:
 
 * ``decide``: criteria configs, shallow (scan bound at most 30) and deep
-  (scan work ``K * d**2`` log-uniform over ``DEEP_WORK``), plus sigma tables
-  and catalog runs.  The shallow majority puts p50 on CLI overhead; p90 sits
-  in the middle of the deep class.
+  (scan work ``K * d**2`` log-uniform over ``DEEP_WORK``, a fixed d per
+  stratum), plus sigma tables and catalog runs.  The shallow majority puts
+  p50 on CLI overhead; p90 sits in the middle of the deep class.
 * ``lemmas``: ``num`` boxes inside the acceptance box (4, 10, 6, 5), with
   instance counts log-uniform over ``NUM_INSTANCES``, and ``alg`` pairs
-  ``2 <= ell <= 10``, ``ell <= k <= ell + 10``.
+  ``2 <= ell <= 10``, ``ell <= k <= ell + 10``, stratified by instance count.
 * ``local``: ``local-model`` with fixed op counts per ``--d`` that fall with
   the sweep's cost and drawn ``--trials`` and ``--seed``, including one
   ``d = 11`` request that must be refused with exit 3.
@@ -32,6 +32,8 @@ import math
 import random
 from pathlib import Path
 
+from oracle import alg_instances, num_instances
+
 WORKLOADS = ("decide", "lemmas", "local")
 
 # decide
@@ -41,7 +43,7 @@ MAX_ORDER = 10**4
 DEEP_WORK = (10**4, 10**5)  # K * d**2 of the scan-bound twist
 DEEPEST = (3, MAX_ORDER)  # (d, K) with the largest K * d, which sets memory
 TABLE_FORMATS = ("plain", "markdown", "csv", "structured-records")
-TABLE_MAX_D, TABLE_MAX_K, TABLE_WORK = 40, 200, 3 * 10**4
+TABLE_MAX_D, TABLE_MAX_K, TABLE_WORK = 40, 200, 10**4  # below DEEP_WORK
 OUTPUT_FORMATS = ("plain", "structured-records")
 
 # lemmas
@@ -50,12 +52,18 @@ ACCEPTANCE_BOX = (4, 10, 6, 5)  # max_m, max_K, max_ell, max_q
 NUM_INSTANCES = (300, 30000)
 ALG_MAX_ELL, ALG_SPAN = 10, 10  # the colength cap 12 allows k <= ell + 10
 
-# local: (op count, max --trials) per --d.  Sweep cost rises steeply with d
-# and trial cost is heavy-tailed, so trials ride on the cheap degrees and the
-# d = 6 sweeps form the plateau p90 falls on.  d = 11 exceeds the truncation
-# cap and must be refused.
-LOCAL_PLAN = {2: (26, 8), 3: (22, 6), 4: (18, 4), 5: (12, 1), 6: (16, 0),
-              7: (1, 0), 8: (2, 0), 9: (1, 0), 10: (1, 0), 11: (1, 0)}
+# local: (--d, op count, min and max --trials).  Sweep cost rises steeply
+# with d and is fixed for a given d; trial cost is heavy-tailed.  So the
+# cheap degrees carry at most a few trials and stay below the d = 5 and
+# d = 6 sweeps, the plateau p50 falls on.  The trial-heavy d = 4 ops sit
+# between that plateau and the d = 7 sweeps, several times dearer, whose
+# plateau p90 falls on.  d = 11 exceeds the truncation cap and must be
+# refused.
+LOCAL_PLAN = ((2, 18, 0, 2), (3, 14, 0, 1), (4, 10, 0, 0),
+              (5, 14, 0, 0), (6, 12, 0, 0),
+              (4, 16, 4, 8),
+              (7, 12, 0, 0), (8, 2, 0, 0), (9, 1, 0, 0), (10, 1, 0, 0),
+              (11, 1, 0, 0))
 
 
 def strata(rng: random.Random, n: int) -> list[float]:
@@ -105,11 +113,13 @@ def _decide(rng, run_dir: Path, root: Path) -> list[dict]:
     # The deepest config is fixed in shape, so peak memory does not hinge on
     # which scan depth the draws happen to pair with the smallest d.
     configs.append(DEEPEST)
+    # Deep stratum i always gets the same d, so the sorted scan costs, and
+    # with them p90, move only by the draw inside each stratum.
     lo, hi = (math.log(w) for w in DEEP_WORK)
-    for u, ud in zip(strata(rng, N_DEEP - 1), strata(rng, N_DEEP - 1)):
-        work = math.exp(lo + u * (hi - lo))
+    for i in range(N_DEEP - 1):
+        work = math.exp(lo + (i + rng.random()) / (N_DEEP - 1) * (hi - lo))
         d_min = max(2, math.ceil(math.sqrt(work / MAX_ORDER)))
-        d = d_min + pick(ud, 11 - d_min)
+        d = d_min + i % (11 - d_min)
         configs.append((d, round(work / d**2)))
 
     config_dir = run_dir / "configs"
@@ -117,7 +127,7 @@ def _decide(rng, run_dir: Path, root: Path) -> list[dict]:
     ops = []
     for i, (d, bound) in enumerate(configs):
         config = _scenario_config(rng, d, bound, f"generated-{i}")
-        if i == N_SHALLOW:  # DEEPEST: both scans run to the bound
+        if i >= N_SHALLOW:  # deep: both scans run to the bound
             config["profile"]["0"] = {"jet": bound, "very": bound}
         path = config_dir / f"scenario-{i:03d}.json"
         path.write_text(json.dumps(config, indent=1), encoding="utf-8")
@@ -171,17 +181,6 @@ def _scenario_config(rng, d: int, bound: int, label: str) -> dict:
 # -- lemmas -----------------------------------------------------------------
 
 
-def num_instances(max_m: int, max_K: int, max_ell: int, max_q: int) -> int:
-    """Instances in a ``num`` box: head multisets of (K_i, l_i) pairs times
-    tail multisets of K_i, with every q for a non-empty tail."""
-    pairs = max_K * (max_ell - 1)
-    return sum(
-        math.comb(pairs + m - 1, m)
-        * (1 + max_q * sum(math.comb(max_K + t - 1, t)
-                           for t in range(1, max_m - m + 1)))
-        for m in range(1, max_m + 1))
-
-
 def _num_boxes() -> list[tuple[float, tuple[int, int, int, int]]]:
     """(log instance count, box) for every sub-box of the acceptance box."""
     M, K, L, Q = ACCEPTANCE_BOX
@@ -207,8 +206,10 @@ def _lemmas(rng) -> list[dict]:
                              "--max-ell", str(box[2]), "--max-q", str(box[3]),
                              "--format", fmt],
                     "params": {"box": list(box), "format": fmt}})
-    pairs = [(k, ell) for ell in range(2, ALG_MAX_ELL + 1)
-             for k in range(ell, ell + ALG_SPAN + 1)]
+    # Sorted by instance count, so each stratum draws pairs of a similar cost.
+    pairs = sorted(((k, ell) for ell in range(2, ALG_MAX_ELL + 1)
+                    for k in range(ell, ell + ALG_SPAN + 1)),
+                   key=lambda pair: (alg_instances(*pair), pair))
     for u in strata(rng, N_ALG):
         k, ell = pairs[pick(u, len(pairs))]
         fmt = fmts.pop()
@@ -224,9 +225,9 @@ def _lemmas(rng) -> list[dict]:
 
 def _local(rng) -> list[dict]:
     ops = []
-    for d, (count, max_trials) in LOCAL_PLAN.items():
+    for d, count, min_trials, max_trials in LOCAL_PLAN:
         for u in strata(rng, count):
-            trials = pick(u, max_trials + 1)
+            trials = min_trials + pick(u, max_trials - min_trials + 1)
             seed = rng.randrange(2**31)
             ops.append({"kind": "local",
                         "argv": ["local-model", "--d", str(d),
