@@ -209,6 +209,7 @@ def main(argv=None) -> int:
         setup_times += measure_setup(SETUP_SPAWNS)
         metrics = end_to_end(reference, statistics.median(setup_times),
                              attempted, failed)
+        info["latency_samples"] = len(ops)
         info["unadjusted"] = unadjusted(reference)
     else:
         traced = run_worker(ops_path, run_dir / "traced", 0, True)

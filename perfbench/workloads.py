@@ -13,13 +13,14 @@ set throughput and latency percentiles) stays nearly the same from seed to
 seed.  Op costs are driven by explicit work targets so that the ops on
 either side of the 50th and 90th latency percentiles belong to one class:
 
-* ``decide``: criteria configs, shallow (scan bound at most 30) and deep
-  (scan work ``K * d**2`` log-uniform over ``DEEP_WORK``, a fixed d per
-  stratum), plus sigma tables and catalog runs.  The shallow majority puts
-  p50 on CLI overhead; p90 sits in the middle of the deep class.
+* ``decide``: criteria configs, shallow (scan bound at most 30) and deep,
+  plus sigma tables and catalog runs.  The shallow majority puts p50 on CLI
+  overhead.  The deep configs are placed by scan cost; p90 falls on a
+  plateau of equal-cost d = 6 configs in their middle.
 * ``lemmas``: ``num`` boxes inside the acceptance box (4, 10, 6, 5), with
-  instance counts log-uniform over ``NUM_INSTANCES``, and ``alg`` pairs
-  ``2 <= ell <= 10``, ``ell <= k <= ell + 10``, stratified by instance count.
+  costs log-uniform over ``NUM_COST`` except for a band of distinct boxes
+  that p90 falls among, and ``alg`` pairs ``2 <= ell <= 10``,
+  ``ell <= k <= ell + 10``, stratified by instance count.
 * ``local``: ``local-model`` with fixed op counts per ``--d`` that fall with
   the sweep's cost and drawn ``--trials`` and ``--seed``, including one
   ``d = 11`` request that must be refused with exit 3.
@@ -37,19 +38,25 @@ from oracle import alg_instances, num_instances
 WORKLOADS = ("decide", "lemmas", "local")
 
 # decide
-N_SHALLOW, N_DEEP, N_TABLE, N_EXAMPLES = 135, 45, 30, 15
+N_SHALLOW, N_TABLE, N_EXAMPLES = 135, 30, 15
+N_LOW, N_PLATEAU, N_HIGH = 14, 16, 14  # deep configs below, on, above p90
 SHALLOW_MAX_ORDER = 30
 MAX_ORDER = 10**4
-DEEP_WORK = (10**4, 10**5)  # K * d**2 of the scan-bound twist
+# Deep configs are placed by scan cost (see scan_cost): log-uniform from the
+# low end up to the plateau and from the plateau to the high end, leaving a
+# gap of PLATEAU_GAP on either side.  The plateau configs share one d.
+DEEP_COST = (4 * 10**4, 13 * 10**4, 40 * 10**4)  # low end, plateau, high end
+PLATEAU_D, PLATEAU_GAP = 6, 1.3
 DEEPEST = (3, MAX_ORDER)  # (d, K) with the largest K * d, which sets memory
 TABLE_FORMATS = ("plain", "markdown", "csv", "structured-records")
-TABLE_MAX_D, TABLE_MAX_K, TABLE_WORK = 40, 200, 10**4  # below DEEP_WORK
+TABLE_MAX_D, TABLE_MAX_K, TABLE_WORK = 40, 200, 10**4  # kmax * d**2
 OUTPUT_FORMATS = ("plain", "structured-records")
 
 # lemmas
-N_NUM, N_ALG = 90, 60
+N_NUM_LOW, N_NUM_BAND, N_NUM_HIGH, N_ALG = 68, 14, 8, 60
 ACCEPTANCE_BOX = (4, 10, 6, 5)  # max_m, max_K, max_ell, max_q
-NUM_INSTANCES = (300, 30000)
+NUM_COST = (600, 60000)  # see num_cost
+NUM_BAND = (30000, 38000)  # costs of the boxes p90 falls among
 ALG_MAX_ELL, ALG_SPAN = 10, 10  # the colength cap 12 allows k <= ell + 10
 
 # local: (--d, op count, min and max --trials).  Sweep cost rises steeply
@@ -113,14 +120,18 @@ def _decide(rng, run_dir: Path, root: Path) -> list[dict]:
     # The deepest config is fixed in shape, so peak memory does not hinge on
     # which scan depth the draws happen to pair with the smallest d.
     configs.append(DEEPEST)
-    # Deep stratum i always gets the same d, so the sorted scan costs, and
-    # with them p90, move only by the draw inside each stratum.
-    lo, hi = (math.log(w) for w in DEEP_WORK)
-    for i in range(N_DEEP - 1):
-        work = math.exp(lo + (i + rng.random()) / (N_DEEP - 1) * (hi - lo))
-        d_min = max(2, math.ceil(math.sqrt(work / MAX_ORDER)))
-        d = d_min + i % (11 - d_min)
-        configs.append((d, round(work / d**2)))
+    # Stratum i of the low and high classes always gets the same d, so their
+    # sorted costs move only by the draw inside each stratum.
+    lo, mid, hi = (math.log(c) for c in DEEP_COST)
+    gap = math.log(PLATEAU_GAP)
+    for n, a, b in ((N_LOW, lo, mid - gap), (N_HIGH, mid + gap, hi)):
+        for i in range(n):
+            cost = math.exp(a + (i + rng.random()) / n * (b - a))
+            d = 2 + i % 9
+            configs.append((d, round(cost / scan_cost(d, 1))))
+    for u in strata(rng, N_PLATEAU):
+        cost = DEEP_COST[1] * (0.99 + 0.02 * u)
+        configs.append((PLATEAU_D, round(cost / scan_cost(PLATEAU_D, 1))))
 
     config_dir = run_dir / "configs"
     config_dir.mkdir(parents=True, exist_ok=True)
@@ -155,6 +166,13 @@ def _decide(rng, run_dir: Path, root: Path) -> list[dict]:
     return ops
 
 
+def scan_cost(d: int, bound: int) -> int:
+    """Relative time of the jet and very scans of a config with scan bound
+    ``bound``: the per-(k, q) checks cost about 18 times one of the d tau
+    calls inside a sigma evaluation (fitted over d = 2..10)."""
+    return bound * d * (d + 18)
+
+
 def _scenario_config(rng, d: int, bound: int, label: str) -> dict:
     """A strict-format config whose q=0 twist has scan bound ``bound``.
 
@@ -181,24 +199,45 @@ def _scenario_config(rng, d: int, bound: int, label: str) -> dict:
 # -- lemmas -----------------------------------------------------------------
 
 
+def num_cost(max_m: int, max_K: int, max_ell: int, max_q: int) -> int:
+    """Relative time of ``verify-lemma num`` over a box, in instances: each
+    head multiset costs about three instances and each (head, tail) pair
+    about two (fitted over boxes of 2000 to 30000 instances)."""
+    cost = 0
+    for m in range(1, max_m + 1):
+        heads = math.comb(max_K * (max_ell - 1) + m - 1, m)
+        tails = [math.comb(max_K + t - 1, t) for t in range(max_m - m + 1)]
+        instances = 1 + max_q * sum(tails[1:])
+        cost += heads * (3 + 2 * sum(tails) + instances)
+    return cost
+
+
 def _num_boxes() -> list[tuple[float, tuple[int, int, int, int]]]:
-    """(log instance count, box) for every sub-box of the acceptance box."""
+    """(log cost, box) for every sub-box of the acceptance box."""
     M, K, L, Q = ACCEPTANCE_BOX
     boxes = [(m, k, l, q) for m in range(1, M + 1) for k in range(1, K + 1)
              for l in range(2, L + 1) for q in range(1, Q + 1)]
-    return sorted((math.log(num_instances(*b)), b) for b in boxes)
+    return sorted((math.log(num_cost(*b)), b) for b in boxes)
 
 
 def _lemmas(rng) -> list[dict]:
     boxes = _num_boxes()
-    lo, hi = (math.log(n) for n in NUM_INSTANCES)
+    lo, hi = (math.log(c) for c in NUM_COST)
+    band_lo, band_hi = (math.log(c) for c in NUM_BAND)
+    # The band takes distinct boxes, so p90 is an order statistic of nearly
+    # the same set of boxes whatever the seed.
+    chosen = rng.sample([b for c, b in boxes if band_lo <= c <= band_hi],
+                        N_NUM_BAND)
+    for n, a, b in ((N_NUM_LOW, lo, band_lo), (N_NUM_HIGH, band_hi, hi)):
+        for u in strata(rng, n):
+            target = a + u * (b - a)
+            nearest = min(abs(c - target) for c, _ in boxes)
+            chosen.append(rng.choice([box for c, box in boxes
+                                      if abs(c - target) == nearest]))
     ops = []
-    fmts = [OUTPUT_FORMATS[i % 2] for i in range(N_NUM + N_ALG)]
+    fmts = [OUTPUT_FORMATS[i % 2] for i in range(len(chosen) + N_ALG)]
     rng.shuffle(fmts)
-    for u in strata(rng, N_NUM):
-        target = lo + u * (hi - lo)
-        nearest = min(abs(c - target) for c, _ in boxes)
-        box = rng.choice([b for c, b in boxes if abs(c - target) == nearest])
+    for box in chosen:
         fmt = fmts.pop()
         ops.append({"kind": "num",
                     "argv": ["verify-lemma", "num",
