@@ -1,4 +1,4 @@
-"""cycliccover benchmark driver.
+"""cycliccover benchmark runner.
 
 Usage, from the repository root:
 
@@ -39,7 +39,7 @@ import oracle  # noqa: E402
 import tracer  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
-# Op latencies are reported as if the worker's reference loop took this
+# Latencies and setup_s are reported as if the reference loop took this
 # long; see adjusted_ms.
 REFERENCE_MS = 1.0
 SETUP_SPAWNS = 6  # fresh interpreters timed for setup_s before the worker,
@@ -50,7 +50,12 @@ SETUP_CODE = (
     "t0 = time.perf_counter()\n"
     "import cycliccover.cli\n"
     "cycliccover.cli.build_parser()\n"
-    "print(time.perf_counter() - t0)\n")
+    "t1 = time.perf_counter()\n"
+    "import statistics, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import worker\n"
+    "ref = statistics.median(worker.time_reference() for _ in range(5))\n"
+    "print(t1 - t0, ref / 1e6)\n")
 
 
 def child_env() -> dict:
@@ -64,15 +69,17 @@ def child_env() -> dict:
     return env
 
 
-def measure_setup(spawns: int) -> list[float]:
-    """Seconds each of ``spawns`` fresh interpreters takes to import the CLI
-    and build its parser (bytecode is cached by an earlier untimed spawn)."""
+def measure_setup(spawns: int) -> list[tuple[float, float]]:
+    """(seconds, reference ms) for each of ``spawns`` fresh interpreters: the
+    time to import the CLI and build its parser (bytecode is cached by an
+    earlier untimed spawn), then the median of five reference-loop runs."""
     times = []
     for _ in range(spawns):
-        out = subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=ROOT,
-                             env=child_env(), capture_output=True, text=True,
-                             timeout=60, check=True).stdout
-        times.append(float(out))
+        out = subprocess.run([sys.executable, "-c", SETUP_CODE, str(HERE)],
+                             cwd=ROOT, env=child_env(), capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        seconds, ref_ms = map(float, out.split())
+        times.append((seconds, ref_ms))
     return times
 
 
@@ -207,10 +214,11 @@ def main(argv=None) -> int:
             "ops_per_pass": len(ops), "passes": len(reference["passes"])}
     if args.trace == 0:
         setup_times += measure_setup(SETUP_SPAWNS)
-        metrics = end_to_end(reference, statistics.median(setup_times),
-                             attempted, failed)
+        setup_s = statistics.median(s * REFERENCE_MS / ref for s, ref in setup_times)
+        metrics = end_to_end(reference, setup_s, attempted, failed)
         info["latency_samples"] = len(ops)
-        info["unadjusted"] = unadjusted(reference)
+        info["unadjusted"] = unadjusted(reference) | {
+            "setup_s": statistics.median(s for s, _ in setup_times)}
     else:
         traced = run_worker(ops_path, run_dir / "traced", 0, True)
         a, f, r = check_ops(ops, expected, traced)

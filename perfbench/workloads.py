@@ -18,8 +18,8 @@ either side of the 50th and 90th latency percentiles belong to one class:
   overhead.  The deep configs are placed by scan cost; p90 falls on a
   plateau of equal-cost d = 6 configs in their middle.
 * ``lemmas``: ``num`` boxes inside the acceptance box (4, 10, 6, 5), with
-  costs log-uniform over ``NUM_COST`` except for a band of distinct boxes
-  that p90 falls among, and ``alg`` pairs ``2 <= ell <= 10``,
+  log-uniform costs except for two bands of distinct boxes that p50 and p90
+  fall among, and ``alg`` pairs ``2 <= ell <= 10``,
   ``ell <= k <= ell + 10``, stratified by instance count.
 * ``local``: ``local-model`` with fixed op counts per ``--d`` that fall with
   the sweep's cost and drawn ``--trials`` and ``--seed``, including one
@@ -53,10 +53,16 @@ TABLE_MAX_D, TABLE_MAX_K, TABLE_WORK = 40, 200, 10**4  # kmax * d**2
 OUTPUT_FORMATS = ("plain", "structured-records")
 
 # lemmas
-N_NUM_LOW, N_NUM_BAND, N_NUM_HIGH, N_ALG = 68, 14, 8, 60
+N_ALG = 60
 ACCEPTANCE_BOX = (4, 10, 6, 5)  # max_m, max_K, max_ell, max_q
-NUM_COST = (600, 60000)  # see num_cost
-NUM_BAND = (30000, 38000)  # costs of the boxes p90 falls among
+# num boxes by cost (see num_cost): (op count, low, high, banded).  A banded
+# class takes distinct boxes with a cost in its range, so p50 and p90, which
+# fall inside the two bands, are order statistics of nearly the same boxes
+# whatever the seed.  The other classes take the box nearest to each of
+# their log-uniform cost targets.
+NUM_PLAN = ((27, 600, 2900, False), (14, 2900, 3400, True),
+            (27, 3400, 30000, False), (14, 30000, 38000, True),
+            (8, 38000, 60000, False))
 ALG_MAX_ELL, ALG_SPAN = 10, 10  # the colength cap 12 allows k <= ell + 10
 
 # local: (--d, op count, min and max --trials).  Sweep cost rises steeply
@@ -222,15 +228,14 @@ def _num_boxes() -> list[tuple[float, tuple[int, int, int, int]]]:
 
 def _lemmas(rng) -> list[dict]:
     boxes = _num_boxes()
-    lo, hi = (math.log(c) for c in NUM_COST)
-    band_lo, band_hi = (math.log(c) for c in NUM_BAND)
-    # The band takes distinct boxes, so p90 is an order statistic of nearly
-    # the same set of boxes whatever the seed.
-    chosen = rng.sample([b for c, b in boxes if band_lo <= c <= band_hi],
-                        N_NUM_BAND)
-    for n, a, b in ((N_NUM_LOW, lo, band_lo), (N_NUM_HIGH, band_hi, hi)):
-        for u in strata(rng, n):
-            target = a + u * (b - a)
+    chosen = []
+    for count, low, high, banded in NUM_PLAN:
+        lo, hi = math.log(low), math.log(high)
+        if banded:
+            chosen += rng.sample([b for c, b in boxes if lo <= c <= hi], count)
+            continue
+        for u in strata(rng, count):
+            target = lo + u * (hi - lo)
             nearest = min(abs(c - target) for c, _ in boxes)
             chosen.append(rng.choice([box for c, box in boxes
                                       if abs(c - target) == nearest]))
