@@ -98,6 +98,7 @@ def main(argv: list[str]) -> int:
 
         tracer = Tracer()
         tracer.install(cycliccover)
+        gc.collect()  # the collector's counts then depend on the ops alone
         tracer.start_gc_tracking()
     cli_main = cycliccover.cli.main  # read after wrapping
 
