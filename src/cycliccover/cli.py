@@ -29,6 +29,7 @@ from .engine import (
 )
 from .errors import ResourceBudgetError
 from .localmodel import (
+    TRUNCATION_CAP,
     case3_construct,
     run_case2_trial,
     vandermonde_residual,
@@ -275,6 +276,10 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_local_model(args) -> int:
+    # The ramified check below works mod m^(d + 2); refuse before the sweep.
+    if args.d + 2 > TRUNCATION_CAP:
+        raise ResourceBudgetError(
+            f"truncation bound {args.d + 2} exceeds cap {TRUNCATION_CAP}")
     rng = random.Random(args.seed)
     any_failure = False
 

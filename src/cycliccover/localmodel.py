@@ -129,38 +129,48 @@ def vandermonde_residual(d: int, betas: Sequence[int],
 
 def _separation_coefficients(d: int, nodes: Sequence[int],
                              rhs_index: int) -> Tuple[CyclotomicNumber, ...]:
+    if not 0 <= rhs_index < len(nodes):
+        raise ValueError(
+            f"rhs index {rhs_index} out of range 0..{len(nodes) - 1}")
+    return tuple(row[0] for row in _separation_solve(d, nodes, [rhs_index]))
+
+
+def _separation_solve(d: int, nodes: Sequence[int], rhs_indices: Sequence[int]
+                      ) -> List[List[CyclotomicNumber]]:
+    """Solve the fiber's Vandermonde system zeta^(c*node_j) * X = B, where
+    column k of B is the unit vector e_(rhs_indices[k]); returns the rows
+    of X.  With rhs_indices = 0..l-1, X is the inverse matrix."""
     l = len(nodes)
     if l > d:
         raise ValueError(f"at most d={d} points in a fiber, got {l}")
     if len({n % d for n in nodes}) != l:
         raise SingularSystemError(
             f"orbit indices {nodes} not distinct mod {d}")
-    if not 0 <= rhs_index < l:
-        raise ValueError(f"rhs index {rhs_index} out of range 0..{l - 1}")
+    one, zero = CyclotomicNumber.one(d), CyclotomicNumber.zero(d)
     matrix = [[CyclotomicNumber.root_of_unity(d, c * node) for c in range(l)]
-              for node in nodes]
-    rhs = [CyclotomicNumber.from_rational(d, 1 if j == rhs_index else 0)
-           for j in range(l)]
-    return tuple(_gaussian_solve(matrix, rhs, d))
+              + [one if j == k else zero for k in rhs_indices]
+              for j, node in enumerate(nodes)]
+    return [row[l:] for row in _gauss_jordan(matrix)]
 
 
-def _gaussian_solve(matrix: List[List[CyclotomicNumber]],
-                    rhs: List[CyclotomicNumber],
-                    order: int) -> List[CyclotomicNumber]:
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+def _gauss_jordan(a: List[List[CyclotomicNumber]]
+                  ) -> List[List[CyclotomicNumber]]:
+    """Reduce the augmented matrix a = [M | B], M square, in place to
+    [I | M^-1 B]."""
+    n = len(a)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise SingularSystemError("singular separation system")
         a[col], a[pivot] = a[pivot], a[col]
         inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
+        a[col] = [x * inv if x else x for x in a[col]]
         for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+            factor = a[r][col]
+            if r != col and factor:
+                a[r] = [x - factor * y if y else x
+                        for x, y in zip(a[r], a[col])]
+    return a
 
 
 def case2_construct(d: int, betas: Sequence[int],
@@ -170,7 +180,8 @@ def case2_construct(d: int, betas: Sequence[int],
     fiber (orbit indices betas, jets[i] prescribed mod m^orders[i]).
 
     With unrestricted section spaces the q-th summand is the alpha-weighted
-    combination of the prescribed jets, one Vandermonde solve per point.
+    combination of the prescribed jets: column i of the inverse Vandermonde
+    matrix weights the jet at point i, so one inversion serves every point.
     """
     l = len(betas)
     if not (len(jets) == len(orders) == l and l >= 1):
@@ -185,9 +196,9 @@ def case2_construct(d: int, betas: Sequence[int],
     lifted = [j.truncate(min(j.bound, orders[i])).with_bound(bound)
               for i, j in enumerate(jets)]
     components = [TruncatedSeries.zero(vars0, bound) for _ in range(d)]
-    for i in range(l):
-        alphas = _separation_coefficients(d, [b % d for b in betas], i)
-        for q, alpha in enumerate(alphas):
+    inverse = _separation_solve(d, [b % d for b in betas], range(l))
+    for q, alphas in enumerate(inverse):
+        for i, alpha in enumerate(alphas):
             components[q] = components[q] + lifted[i].scale(alpha)
     return SectionDecomposition(d, tuple(components))
 

@@ -208,3 +208,11 @@ def test_local_model_deterministic(capsys):
     _, out2, _ = run(capsys, "local-model", "--d", "4", "--trials", "2",
                      "--seed", "5")
     assert out1 == out2
+
+
+def test_local_model_refuses_over_cap_before_sweep(capsys):
+    # case 3 works mod m^(d + 2), over the truncation cap 12 for d = 11
+    code, out, err = run(capsys, "local-model", "--d", "11", "--trials", "0")
+    assert code == 3
+    assert out == ""
+    assert err == "budget exhausted: truncation bound 13 exceeds cap 12\n"

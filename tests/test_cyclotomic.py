@@ -91,3 +91,48 @@ def test_field_axioms(d, xs, ys, zs):
     assert x - x == 0
     if not y.is_zero():
         assert (x / y) * y == x
+
+
+def test_rational_elements_hash_like_fractions():
+    assert len({CyclotomicNumber.one(5), 1}) == 1
+    x = CyclotomicNumber.from_rational(7, Fraction(3, 7))
+    assert hash(x) == hash(Fraction(3, 7))
+    assert hash(CyclotomicNumber.zero(4)) == hash(0)
+    assert hash(CyclotomicNumber.root_of_unity(4, 2)) == hash(-1)
+
+
+def test_rationals_equal_across_orders():
+    assert CyclotomicNumber.one(5) == CyclotomicNumber.one(3)
+    assert CyclotomicNumber.root_of_unity(2) == CyclotomicNumber.root_of_unity(4, 2)
+    assert CyclotomicNumber.root_of_unity(3) != CyclotomicNumber.root_of_unity(6, 2)
+    assert len({CyclotomicNumber.one(5), CyclotomicNumber.one(3), 1}) == 1
+
+
+def test_canonical_form_independent_of_route():
+    # 1/2 + zeta/2 in Q(zeta_3), built four ways
+    d = 3
+    z = CyclotomicNumber.root_of_unity(d)
+    routes = [
+        CyclotomicNumber(d, [Fraction(1, 2), Fraction(1, 2)]),
+        CyclotomicNumber(d, [2, 2, 0, 0, 0, 0]) / 4,
+        (z + 1) * Fraction(1, 2),
+        -(z ** 2) / 2,  # 1 + zeta + zeta^2 = 0
+        ((z + 1).inverse() * 2).inverse(),
+    ]
+    keys = {(r.den, r.nums) for r in routes}
+    assert keys == {(2, (1, 1))}
+    assert CyclotomicNumber.zero(5).den == 1
+    assert (z - z).nums == (0, 0) and (z - z).den == 1
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    x = CyclotomicNumber(5, [Fraction(1, 3), 2, Fraction(-4, 9)])
+    y = CyclotomicNumber(5, [Fraction(2, 5), 0, 1, Fraction(1, 7)])
+    half = Fraction(1, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built during arithmetic")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    x * y, x + y, x - y, y - x, x * half, x + half, half - x, 3 * x, x + 1
+    assert x == x and x != y and x != half and x != 1

@@ -1,0 +1,64 @@
+"""Independent oracle: sympy's cyclotomic polynomials and polynomial
+remainder / modular inverse agree with CyclotomicNumber."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from cycliccover.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+
+sympy = pytest.importorskip("sympy")
+X = sympy.Symbol("x")
+
+
+def coefficients(expr, d):
+    """Coefficients (constant first) of a sympy polynomial of degree < phi(d)."""
+    n = len(cyclotomic_polynomial(d)) - 1
+    coeffs = sympy.Poly(expr, X).all_coeffs()[::-1] if expr != 0 else []
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+    return tuple(coeffs + [Fraction(0)] * (n - len(coeffs)))
+
+
+def as_fractions(x):
+    return tuple(Fraction(c, x.den) for c in x.nums)
+
+
+def as_sympy(coeffs):
+    return sum((sympy.Rational(c.numerator, c.denominator) * X ** i
+                for i, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    for d in range(1, 41):
+        want = sympy.Poly(sympy.cyclotomic_poly(d, X), X).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(d) == tuple(int(c) for c in want)
+
+
+orders = st.integers(min_value=1, max_value=12)
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+polys = st.lists(rationals, min_size=0, max_size=14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, polys, polys)
+def test_arithmetic_matches_sympy_rem(d, xs, ys):
+    phi = sympy.cyclotomic_poly(d, X)
+    a, b = as_sympy(xs), as_sympy(ys)
+    x, y = CyclotomicNumber(d, xs), CyclotomicNumber(d, ys)
+    assert as_fractions(x) == coefficients(sympy.rem(a, phi, X), d)
+    assert as_fractions(x * y) == \
+        coefficients(sympy.rem(sympy.expand(a * b), phi, X), d)
+    assert as_fractions(x - y) == \
+        coefficients(sympy.rem(sympy.expand(a - b), phi, X), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, polys)
+def test_inverse_matches_sympy_invert(d, xs):
+    x = CyclotomicNumber(d, xs)
+    assume(not x.is_zero())
+    phi = sympy.cyclotomic_poly(d, X)
+    reduced = sympy.rem(as_sympy(xs), phi, X)
+    want = sympy.invert(reduced, phi, X)
+    assert as_fractions(x.inverse()) == coefficients(want, d)
