@@ -11,6 +11,7 @@ budget for the lemma commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -109,12 +110,17 @@ def _cmd_sigma_table(args) -> int:
 
 
 def _budget(args) -> int:
-    env = os.environ.get("CYCLICCOVER_BUDGET")
     if args.budget is not None:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         return args.budget
-    if env is not None:
-        return int(env)
-    return lemmas.DEFAULT_TUPLE_BUDGET
+    env = os.environ.get("CYCLICCOVER_BUDGET")
+    if env is None:
+        return lemmas.DEFAULT_TUPLE_BUDGET
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(
+            f"CYCLICCOVER_BUDGET must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _cmd_verify_lemma(args) -> int:
@@ -148,10 +154,11 @@ def _emit_report(report, fmt: str) -> None:
 
 
 def load_scenario_config(path: str) -> CoveringScenario:
-    """Strict JSON scenario config: unknown keys and non-integers rejected."""
+    """Strict JSON scenario config: unknown or duplicate keys, non-integers
+    and profile keys other than "0".."d-1" rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -175,21 +182,37 @@ def load_scenario_config(path: str) -> CoveringScenario:
         raise ConfigError("config field 'profile' must be an object")
     entries = {}
     for key, val in profile_raw.items():
-        try:
-            q = int(key)
-        except ValueError:
-            raise ConfigError(f"profile key {key!r} is not an integer") from None
         if not isinstance(val, dict) or set(val) - {"jet", "very"}:
             raise ConfigError(
                 f"profile entry {key!r} must be an object with keys jet/very")
-        entries[q] = (_require_int(val, "jet", default=-1),
-                      _require_int(val, "very", default=-1))
+        entries[_twist_index(key, d)] = (
+            _require_int(val, "jet", default=-1),
+            _require_int(val, "very", default=-1))
     try:
         return CoveringScenario(
             d=d, branched=branched,
             profile=PositivityProfile(entries, label=label), label=label)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _reject_duplicate_keys(pairs: list) -> dict:
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate config key {key!r}")
+        obj[key] = val
+    return obj
+
+
+def _twist_index(key: str, d: int) -> int:
+    """q for a profile key written canonically: no sign, padding or "_"."""
+    q = int(key) if key.isascii() and key.isdigit() else None
+    if q is None or key != str(q):
+        raise ConfigError(f"profile key {key!r} is not a canonical integer")
+    if q >= d:
+        raise ConfigError(f"profile key {key!r} is outside 0..d-1 = 0..{d - 1}")
+    return q
 
 
 def _require_int(obj: dict, key: str, default=None) -> int:
@@ -223,8 +246,6 @@ def _cmd_criteria(args) -> int:
           f"(d={scenario.d}, {'branched' if scenario.branched else 'unbranched'})")
     for kind, verdict in verdicts.items():
         print(f"{kind}: k_star = {verdict.k_star}")
-        for w in verdict.warnings:
-            print(f"  warning: {w}")
         for k in (verdict.k_star, verdict.k_star + 1):
             if k < 0:
                 continue
@@ -276,6 +297,14 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_local_model(args) -> int:
+    if args.d < 1:
+        raise ValueError(f"--d must be >= 1, got {args.d}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.trials and args.d < 2:
+        raise ValueError(
+            f"--trials {args.trials} needs --d >= 2: a case-2 trial draws "
+            f"its degree from 2..d")
     # The ramified check below works mod m^(d + 2); refuse before the sweep.
     if args.d + 2 > TRUNCATION_CAP:
         raise ResourceBudgetError(
@@ -321,7 +350,9 @@ def _cmd_local_model(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="cycliccover",
         description="positivity criteria for pullbacks along cyclic coverings")

@@ -74,11 +74,6 @@ class SigmaTable:
         """Row indices q in ascending order (empty when k_max = 0)."""
         return list(range(1, min(self.k_max, self.d - 1) + 1))
 
-    def row(self, q: int) -> list[tuple[int, int]]:
-        """(k, value) pairs of row q, k ascending."""
-        return [((k), self.entries[(q, k)])
-                for k in range(self.k_max + 1) if (q, k) in self.entries]
-
 
 def sigma_table(d: int, k_max: int) -> SigmaTable:
     """Tabulate sigma(k, d, q) over all legal pairs with k <= k_max."""

@@ -78,16 +78,18 @@ class QCheck:
 class CriterionVerdict:
     kind: Kind
     k_star: int  # maximal guaranteed order, -1 if even k=0 fails
-    feasible: Tuple[int, ...]
-    per_k_detail: Tuple[Tuple[QCheck, ...], ...]  # indexed by k, 0..scan bound
-    warnings: Tuple[str, ...] = ()
+
+    @property
+    def feasible(self) -> Tuple[int, ...]:
+        """Every guaranteed order: the feasible set is 0..k_star."""
+        return tuple(range(self.k_star + 1))
 
     def to_record(self) -> dict:
         return {
             "kind": self.kind,
             "k_star": self.k_star,
             "feasible": list(self.feasible),
-            "warnings": list(self.warnings),
+            "warnings": [],
         }
 
 
@@ -113,39 +115,34 @@ def max_guaranteed_jet_order(scenario: CoveringScenario) -> CriterionVerdict:
     """Largest k with jet_order(q) >= k-q for all q = 0..min(k, d-1).
 
     No k above jet_order(0) can satisfy the q=0 requirement, so that is
-    the scan bound.
+    the search bound.
     """
-    return _scan(scenario, "jet", scenario.profile.jet_order(0))
+    return _bisect(scenario, "jet", scenario.profile.jet_order(0))
 
 
 def max_guaranteed_very_order(scenario: CoveringScenario) -> CriterionVerdict:
     """Largest k with effective_very_order(q) >= sigma(k, d, q) for all q.
 
     The q=0 requirement sigma(k, d, 0) = k caps feasible k at
-    effective_very_order(0).  The whole range is scanned (rather than
-    binary-searched) and any gap in the feasible set is flagged.
+    effective_very_order(0).
     """
-    return _scan(scenario, "very", scenario.profile.effective_very_order(0))
+    return _bisect(scenario, "very", scenario.profile.effective_very_order(0))
 
 
-def _scan(scenario: CoveringScenario, kind: Kind, bound: int) -> CriterionVerdict:
-    detail = []
-    feasible = []
-    for k in range(0, bound + 1):
-        checks = explain_requirement(kind, k, scenario)
-        detail.append(checks)
-        if all(c.satisfied for c in checks):
-            feasible.append(k)
-    k_star = feasible[-1] if feasible else NO_GUARANTEE
-    warnings: Tuple[str, ...] = ()
-    if feasible and feasible != list(range(feasible[0], k_star + 1)):
-        warnings = (f"feasible set not contiguous: {feasible}",)
-    if feasible and feasible[0] != 0:
-        warnings += (f"feasible set does not start at 0: {feasible}",)
-    return CriterionVerdict(
-        kind=kind,
-        k_star=k_star,
-        feasible=tuple(feasible),
-        per_k_detail=tuple(detail),
-        warnings=warnings,
-    )
+def _bisect(scenario: CoveringScenario, kind: Kind, bound: int) -> CriterionVerdict:
+    """Largest feasible k in -1..bound, where k = -1 asks for nothing.
+
+    Feasibility is downward closed in k: each requirement (k-q, or
+    sigma(k, d, q), which is nondecreasing in k because tau(k+1, l) -
+    tau(k, l) is 0 or 1) grows with k, and a larger k only adds twists.
+    So the feasible set is 0..k_star and bisection finds its end with
+    O(log bound) calls of explain_requirement.
+    """
+    lo, hi = NO_GUARANTEE, bound + 1  # lo is feasible; hi fails at q=0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if all(c.satisfied for c in explain_requirement(kind, mid, scenario)):
+            lo = mid
+        else:
+            hi = mid
+    return CriterionVerdict(kind=kind, k_star=lo)

@@ -100,6 +100,7 @@ class LemmaReport:
     max_slack: int | None  # min over instances of (bound - observed)
     counterexamples: List[dict] = field(default_factory=list)
     notes: Tuple[str, ...] = ()
+    partial: bool = False  # the search stopped at its budget
 
     @property
     def passed(self) -> bool:
@@ -121,8 +122,10 @@ class LemmaReport:
         }
 
     def to_text(self) -> str:
+        status = ("FAIL" if not self.passed
+                  else "PARTIAL" if self.partial else "PASS")
         lines = [
-            f"lemma {self.lemma_id}: {'PASS' if self.passed else 'FAIL'}",
+            f"lemma {self.lemma_id}: {status}",
             "box " + " ".join(f"{k}={v}" for k, v in sorted(self.parameter_box.items())),
             f"instances checked: {self.instances_checked}",
             f"min slack (bound - observed): {self.max_slack}",
@@ -175,6 +178,7 @@ def check_lemma_alg(
                     max_slack=min_slack,
                     counterexamples=counterexamples,
                     notes=("partial: budget exhausted",),
+                    partial=True,
                 ),
             )
         for rest in itertools.product(*shape_lists[1:]):
@@ -262,6 +266,7 @@ def check_lemma_num(
                                     max_slack=min_slack,
                                     counterexamples=counterexamples,
                                     notes=("partial: budget exhausted",),
+                                    partial=True,
                                 ),
                             )
                         note_instance(lhs, rhs, {

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cycliccover.cli import main
+from cycliccover.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -216,3 +216,99 @@ def test_local_model_refuses_over_cap_before_sweep(capsys):
     assert code == 3
     assert out == ""
     assert err == "budget exhausted: truncation bound 13 exceeds cap 12\n"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["verify-lemma", "alg"])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "sigma-table", "--d", "2", "--kmax", "1")
+    assert code == 0 and out.startswith("q\\k")
+
+
+def write_config(tmp_path, text):
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    return str(config)
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema": 1, "d": 2, "profile": {"0": {"jet": 3, "jet": 9}}}',
+    '{"schema": 1, "d": 2, "profile": {"0": {"jet": 3}, "0": {"jet": 9}}}',
+    '{"schema": 1, "d": 2, "d": 3, "profile": {}}',
+])
+def test_criteria_rejects_duplicate_keys(tmp_path, capsys, text):
+    code, out, err = run(capsys, "criteria", "--config",
+                         write_config(tmp_path, text))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: duplicate config key")
+
+
+@pytest.mark.parametrize("key", ["01", "+1", "1_0", " 1", "-0", "-1", "1.0",
+                                 "١"])
+def test_criteria_rejects_non_canonical_profile_keys(tmp_path, capsys, key):
+    text = json.dumps({"schema": 1, "d": 12, "profile": {key: {"jet": 1}}})
+    code, out, err = run(capsys, "criteria", "--config",
+                         write_config(tmp_path, text))
+    assert code == 2 and out == ""
+    assert err == f"config error: profile key {key!r} is not a canonical integer\n"
+
+
+def test_criteria_rejects_twist_beyond_degree(tmp_path, capsys):
+    text = json.dumps({"schema": 1, "d": 2,
+                       "profile": {"0": {"jet": 3}, "2": {"jet": 1}}})
+    code, out, err = run(capsys, "criteria", "--config",
+                         write_config(tmp_path, text))
+    assert code == 2 and out == ""
+    assert err == "config error: profile key '2' is outside 0..d-1 = 0..1\n"
+
+
+def test_criteria_accepts_every_canonical_key(tmp_path, capsys):
+    text = json.dumps({"schema": 1, "d": 11,
+                       "profile": {str(q): {"jet": 12 - q} for q in range(11)}})
+    code, out, _ = run(capsys, "criteria", "--config",
+                       write_config(tmp_path, text))
+    assert code == 0
+    assert "jet: k_star = 12" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "1", "--trials", "2"],
+     "error: --trials 2 needs --d >= 2: a case-2 trial draws its degree "
+     "from 2..d\n"),
+    (["--d", "0", "--trials", "0"], "error: --d must be >= 1, got 0\n"),
+    (["--d", "0"], "error: --d must be >= 1, got 0\n"),
+    (["--d", "3", "--trials", "-4"], "error: --trials must be >= 0, got -4\n"),
+])
+def test_local_model_rejects_bad_arguments_before_output(capsys, argv, message):
+    code, out, err = run(capsys, "local-model", *argv)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_verify_lemma_partial_report_is_labelled(capsys):
+    code, out, err = run(capsys, "verify-lemma", "num", "--max-m", "3",
+                         "--max-K", "6", "--max-ell", "4", "--max-q", "3",
+                         "--budget", "10")
+    assert code == 3
+    assert "budget exhausted" in err
+    lines = out.splitlines()
+    assert lines[0] == "lemma num: PARTIAL"
+    assert "instances checked: 10" in lines
+    assert "PASS" not in out
+
+
+def test_verify_lemma_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, "verify-lemma", "num", "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("value", ["-5", "abc", "1.5", " 10", "+10", ""])
+def test_verify_lemma_rejects_bad_budget_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("CYCLICCOVER_BUDGET", value)
+    code, out, err = run(capsys, "verify-lemma", "alg", "--k", "4",
+                         "--ell", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: CYCLICCOVER_BUDGET must be a non-negative "
+                   f"integer, got {value!r}\n")

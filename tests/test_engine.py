@@ -1,7 +1,10 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from cycliccover.combinatorics import sigma
 from cycliccover.engine import (
     CoveringScenario,
     PositivityProfile,
@@ -87,7 +90,8 @@ def test_explain_requirement_matches_verdict():
                           ("very", max_guaranteed_very_order(s))):
         for k in verdict.feasible:
             assert all(c.satisfied for c in explain_requirement(kind, k, s))
-        if verdict.k_star + 1 <= len(verdict.per_k_detail) - 1:
+        if verdict.k_star + 1 <= (s.profile.jet_order(0) if kind == "jet"
+                                  else s.profile.effective_very_order(0)):
             assert not all(c.satisfied for c in
                            explain_requirement(kind, verdict.k_star + 1, s))
 
@@ -157,3 +161,65 @@ def test_degree_saturation():
             max_guaranteed_jet_order(wide).k_star
         assert max_guaranteed_very_order(base).k_star == \
             max_guaranteed_very_order(wide).k_star
+
+
+@functools.cache
+def _sigma(k, d, q):
+    return sigma(k, d, q)
+
+
+def _scan_reference(kind, s):
+    """Brute-force feasible set: every k up to the q=0 order, tested alone."""
+    prof = s.profile
+    if kind == "jet":
+        bound, have = prof.jet_order(0), prof.jet_order
+        def need(k, q):
+            return k - q
+    else:
+        bound, have = prof.effective_very_order(0), prof.effective_very_order
+        def need(k, q):
+            return _sigma(k, s.d, q)
+    return tuple(k for k in range(bound + 1)
+                 if all(have(q) >= need(k, q)
+                        for q in range(min(k, s.d - 1) + 1)))
+
+
+def test_bisection_matches_brute_force_scan():
+    rng = random.Random(20261018)
+    for _ in range(20000):
+        d = rng.randint(2, 10)
+        present = [q for q in range(d) if rng.random() < 0.8]
+        s = scenario(d, {q: (rng.randint(-1, 40), rng.randint(-1, 40))
+                         for q in present})
+        for kind, decide in (("jet", max_guaranteed_jet_order),
+                             ("very", max_guaranteed_very_order)):
+            verdict = decide(s)
+            feasible = _scan_reference(kind, s)
+            assert verdict.feasible == feasible, (kind, d, s.profile.entries)
+            assert verdict.k_star == (feasible[-1] if feasible else -1)
+
+
+@given(st.integers(2, 39).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(0, 298).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(0, min(k, d - 1)))))))
+def test_sigma_nondecreasing_in_k(case):
+    # The bisection relies on this: feasibility is downward closed in k.
+    d, (k, q) = case
+    assert sigma(k, d, q) <= sigma(k + 1, d, q)
+
+
+def test_order_1e18_profile_exact_k_star():
+    top, d = 10**18, 10
+    # jet: k <= jet(q) + q for every q, and jet(q) + q = top - q is least at q = 9
+    jet = scenario(d, {q: (top - 2 * q, -1) for q in range(d)})
+    assert max_guaranteed_jet_order(jet).k_star == top - (d - 1)
+    assert max_guaranteed_very_order(jet).k_star == top
+    # very: sigma(k, d, q) stays put from k0 - 1 to k0 and steps up at
+    # k0 + 1, so k0 is the last order the twists q >= 1 can carry
+    k0 = 5 * 10**17 + 10
+    cap = sigma(k0, d, 1)
+    assert sigma(k0 - 1, d, 1) == cap and sigma(k0 + 1, d, 1) == cap + 1
+    assert all(sigma(k0, d, q) <= cap for q in range(1, d))
+    very = scenario(d, {0: (-1, top)} | {q: (-1, cap) for q in range(1, d)})
+    assert max_guaranteed_very_order(very).k_star == k0
+    assert max_guaranteed_jet_order(very).k_star == -1
