@@ -85,12 +85,9 @@ class CriterionVerdict:
         return tuple(range(self.k_star + 1))
 
     def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k_star": self.k_star,
-            "feasible": list(self.feasible),
-            "warnings": [],
-        }
+        """The guaranteed orders are 0..k_star, so k_star stands for them
+        all and the record stays the same size at any order."""
+        return {"kind": self.kind, "k_star": self.k_star}
 
 
 def explain_requirement(kind: Kind, k: int, scenario: CoveringScenario) -> Tuple[QCheck, ...]:

@@ -105,11 +105,16 @@ def vandermonde_solve(d: int, betas: Sequence[int],
 
     The nodes are 0, betas[0], ..., betas[-1] (l of them, distinct mod d);
     row j demands sum_c zeta^(c*node_j) * alpha_c = delta(j, rhs_index).
-    Returns (alpha_0, ..., alpha_{l-1}); substituting back reproduces the
+    So (alpha_0, ..., alpha_{l-1}) are the coefficients of the Lagrange
+    polynomial of node rhs_index; substituting back reproduces the
     right-hand side with zero residual.
     """
     nodes = [0] + [b % d for b in betas]
-    return _separation_coefficients(d, nodes, rhs_index)
+    if not 0 <= rhs_index < len(nodes):
+        raise ValueError(
+            f"rhs index {rhs_index} out of range 0..{len(nodes) - 1}")
+    _check_fiber(d, nodes)
+    return tuple(_lagrange(d, nodes, rhs_index))
 
 
 def vandermonde_residual(d: int, betas: Sequence[int],
@@ -127,50 +132,31 @@ def vandermonde_residual(d: int, betas: Sequence[int],
     return tuple(out)
 
 
-def _separation_coefficients(d: int, nodes: Sequence[int],
-                             rhs_index: int) -> Tuple[CyclotomicNumber, ...]:
-    if not 0 <= rhs_index < len(nodes):
-        raise ValueError(
-            f"rhs index {rhs_index} out of range 0..{len(nodes) - 1}")
-    return tuple(row[0] for row in _separation_solve(d, nodes, [rhs_index]))
-
-
-def _separation_solve(d: int, nodes: Sequence[int], rhs_indices: Sequence[int]
-                      ) -> List[List[CyclotomicNumber]]:
-    """Solve the fiber's Vandermonde system zeta^(c*node_j) * X = B, where
-    column k of B is the unit vector e_(rhs_indices[k]); returns the rows
-    of X.  With rhs_indices = 0..l-1, X is the inverse matrix."""
-    l = len(nodes)
-    if l > d:
-        raise ValueError(f"at most d={d} points in a fiber, got {l}")
-    if len({n % d for n in nodes}) != l:
+def _check_fiber(d: int, nodes: List[int]) -> None:
+    """At most d orbit indices (residues mod d), all distinct: then the
+    roots zeta^node differ and the Vandermonde system is invertible."""
+    if len(nodes) > d:
+        raise ValueError(f"at most d={d} points in a fiber, got {len(nodes)}")
+    if len(set(nodes)) != len(nodes):
         raise SingularSystemError(
             f"orbit indices {nodes} not distinct mod {d}")
-    one, zero = CyclotomicNumber.one(d), CyclotomicNumber.zero(d)
-    matrix = [[CyclotomicNumber.root_of_unity(d, c * node) for c in range(l)]
-              + [one if j == k else zero for k in rhs_indices]
-              for j, node in enumerate(nodes)]
-    return [row[l:] for row in _gauss_jordan(matrix)]
 
 
-def _gauss_jordan(a: List[List[CyclotomicNumber]]
-                  ) -> List[List[CyclotomicNumber]]:
-    """Reduce the augmented matrix a = [M | B], M square, in place to
-    [I | M^-1 B]."""
-    n = len(a)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise SingularSystemError("singular separation system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv if x else x for x in a[col]]
-        for r in range(n):
-            factor = a[r][col]
-            if r != col and factor:
-                a[r] = [x - factor * y if y else x
-                        for x, y in zip(a[r], a[col])]
-    return a
+def _lagrange(d: int, nodes: Sequence[int], r: int) -> List[CyclotomicNumber]:
+    """Coefficients, constant first, of prod_{j != r} (x - x_j) / (x_r - x_j)
+    with x_j = zeta^nodes[j]: column r of the inverse Vandermonde matrix.
+    The nodes must pass _check_fiber."""
+    xs = [CyclotomicNumber.root_of_unity(d, n) for n in nodes]
+    one = CyclotomicNumber.one(d)
+    coeffs, denom = [one], one
+    for j, xj in enumerate(xs):
+        if j != r:  # p -> (x - x_j) * p: p[k] -> p[k-1] - x_j * p[k]
+            coeffs = ([-(xj * coeffs[0])]
+                      + [lo - xj * hi for lo, hi in zip(coeffs, coeffs[1:])]
+                      + [coeffs[-1]])
+            denom = denom * (xs[r] - xj)
+    inv = denom.inverse()
+    return [c * inv for c in coeffs]
 
 
 def case2_construct(d: int, betas: Sequence[int],
@@ -180,8 +166,9 @@ def case2_construct(d: int, betas: Sequence[int],
     fiber (orbit indices betas, jets[i] prescribed mod m^orders[i]).
 
     With unrestricted section spaces the q-th summand is the alpha-weighted
-    combination of the prescribed jets: column i of the inverse Vandermonde
-    matrix weights the jet at point i, so one inversion serves every point.
+    combination of the prescribed jets: the jet at point i is weighted by
+    the coefficients of the Lagrange polynomial of node i, which is 1 at
+    zeta^betas[i] and 0 at the fiber's other points.
     """
     l = len(betas)
     if not (len(jets) == len(orders) == l and l >= 1):
@@ -196,9 +183,10 @@ def case2_construct(d: int, betas: Sequence[int],
     lifted = [j.truncate(min(j.bound, orders[i])).with_bound(bound)
               for i, j in enumerate(jets)]
     components = [TruncatedSeries.zero(vars0, bound) for _ in range(d)]
-    inverse = _separation_solve(d, [b % d for b in betas], range(l))
-    for q, alphas in enumerate(inverse):
-        for i, alpha in enumerate(alphas):
+    nodes = [b % d for b in betas]
+    _check_fiber(d, nodes)
+    for i in range(l):
+        for q, alpha in enumerate(_lagrange(d, nodes, i)):
             components[q] = components[q] + lifted[i].scale(alpha)
     return SectionDecomposition(d, tuple(components))
 

@@ -140,6 +140,21 @@ def test_criteria_structured(tmp_path, capsys):
     assert jet["k_star"] == 2
 
 
+def test_criteria_structured_record_is_bounded_at_huge_order(tmp_path, capsys):
+    order = 10**18
+    text = json.dumps({"schema": 1, "d": 3, "profile": {
+        str(q): {"jet": order} for q in range(3)}})
+    code, out, _ = run(capsys, "criteria", "--config",
+                       write_config(tmp_path, text),
+                       "--format", "structured-records")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["kind"] for r in records] == ["jet", "very"]
+    for record in records:
+        assert set(record) == {"kind", "k_star", "label", "d", "branched"}
+        assert record["k_star"] == order
+
+
 def test_criteria_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({

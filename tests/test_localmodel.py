@@ -62,11 +62,15 @@ def test_vandermonde_exhaustive_residuals():
 
 
 def test_vandermonde_other_rhs_indices():
-    d, betas = 5, [1, 3]
-    for rhs in range(3):
-        alphas = vandermonde_solve(d, betas, rhs_index=rhs)
-        for r in vandermonde_residual(d, betas, alphas, rhs_index=rhs):
-            assert r.is_zero()
+    # Every Lagrange column, not only column 0: 1,024 solves for d <= 8.
+    for d in range(1, 9):
+        for size in range(0, d):
+            for betas in itertools.combinations(range(1, d), size):
+                for rhs in range(size + 1):
+                    alphas = vandermonde_solve(d, list(betas), rhs_index=rhs)
+                    for r in vandermonde_residual(d, list(betas), alphas,
+                                                  rhs_index=rhs):
+                        assert r.is_zero()
 
 
 def test_vandermonde_repeated_betas_rejected():
