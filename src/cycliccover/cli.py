@@ -44,6 +44,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 CONFIG_SCHEMA_VERSION = 1
+# sigma-table refuses, before any work, a table of more rendered cells
+# (rows q times columns k) than this: 10^5 cells at d = 2 take about 0.6 s
+# and 40 MB.
+SIGMA_TABLE_CELL_CAP = 10**5
 
 
 class ConfigError(ValueError):
@@ -97,6 +101,12 @@ def render_sigma_table(table, fmt: str) -> str:
 
 
 def _cmd_sigma_table(args) -> int:
+    # min(kmax, d - 1) rows of kmax + 1 cells; invalid d or kmax count 0
+    # here and are refused by sigma_table with exit 2.
+    cells = max(0, min(args.kmax, args.d - 1)) * (args.kmax + 1)
+    if cells > SIGMA_TABLE_CELL_CAP:
+        raise ResourceBudgetError(
+            f"sigma table of {cells} cells exceeds cap {SIGMA_TABLE_CELL_CAP}")
     print(render_sigma_table(sigma_table(args.d, args.kmax), args.format))
     return EXIT_OK
 

@@ -24,6 +24,7 @@ max-range in the headline statement has an ambiguous index set).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
@@ -32,6 +33,11 @@ from .errors import ResourceBudgetError
 
 DEFAULT_COLENGTH_CAP = 12
 DEFAULT_TUPLE_BUDGET = 10**7
+# check_lemma_num tabulates tau at no more than this many (K, l) pairs, and
+# tails holding no more than this many parts in all; a larger box computes
+# the rest as it reaches them, so its memory stays bounded while the
+# instance budget bounds its time.
+NUM_TABLE_CAP = 10**5
 
 Cell = Tuple[int, int]
 
@@ -219,7 +225,22 @@ def check_lemma_num(
 
     Ranges: 1 <= m <= r <= max_m, 1 <= K_i <= max_K, 2 <= l_i <= max_ell,
     1 <= q <= max_q.  Both sides are symmetric under permuting the
-    (K_i, l_i) pairs and the tail K_i, so multisets are enumerated.
+    (K_i, l_i) pairs and the tail K_i, so multisets are enumerated.  An
+    instance is a (head, tail, q) triple; an empty tail has one instance.
+
+    The left side is nonincreasing in q (each floor(K_i / (q+1)) is), so
+    q = 1 has the smallest slack among a tail's max_q instances.  Each
+    (head, tail) is therefore decided by its q = 1 slack alone, and all its
+    instances are counted in one step; q is walked one by one, as an
+    instance-by-instance search would, only when that slack is negative
+    (to list every failing q) or the step would cross the budget (so the
+    cut, and the partial report, land on the same instance).  tau is
+    evaluated once per call for every head pair and every K <= max_m *
+    max_K, the tails of each length are listed once with their sums, and
+    witness dicts are built for counterexamples only, so a call costs
+    O(#heads * #tails) integer steps rather than O(#instances) tau calls.
+    Tables past NUM_TABLE_CAP are not built: those tau values and tails are
+    computed as the search reaches them.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):
@@ -230,30 +251,45 @@ def check_lemma_num(
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
     pairs = [(K, l) for K in range(1, max_K + 1) for l in range(2, max_ell + 1)]
+    head_tau = {pair: tau(*pair) for pair in pairs}
+    # rhs_tau[l][K] = tau(K, l) for K <= max_m * max_K, within the cap;
+    # index 0 is never read (K >= m >= 1).
+    K_top = min(max_m * max_K, NUM_TABLE_CAP // (max_ell - 1))
+    rhs_tau = {l: [0] + [tau(K, l) for K in range(1, K_top + 1)]
+               for l in range(2, max_ell + 1)}
+    # tables[n] = _tails(max_K, n), for the tail lengths that fit the cap.
+    tables: List[list] = []
+    parts = 0
+    for n in range(max_m):
+        parts += math.comb(max_K + n - 1, n) * n
+        if parts > NUM_TABLE_CAP:
+            break
+        tables.append(list(_tails(max_K, n)))
     checked = 0
     min_slack: int | None = None
     counterexamples: List[dict] = []
 
-    def note_instance(lhs: int, rhs: int, witness: dict) -> None:
-        nonlocal min_slack
-        slack = rhs - lhs
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        if slack < 0:
-            counterexamples.append(witness | {"lhs": lhs, "rhs": rhs})
-
     for m in range(1, max_m + 1):
         for head in itertools.combinations_with_replacement(pairs, m):
-            head_sum = sum(tau(K, l) for K, l in head)
+            head_sum = sum(head_tau[pair] for pair in head)
             head_K = sum(K for K, _ in head)
             ell = max(l for _, l in head)
-            for r in range(m, max_m + 1):
-                for tail in itertools.combinations_with_replacement(
-                        range(1, max_K + 1), r - m):
-                    K = head_K + sum(tail)
-                    rhs = tau(K, ell)
-                    q_range = range(1, max_q + 1) if tail else (1,)
-                    for q in q_range:
+            rhs_row = rhs_tau[ell]
+            for n in range(max_m - m + 1):
+                steps = max_q if n else 1
+                for tail, tail_K, tail_q1 in (
+                        tables[n] if n < len(tables) else _tails(max_K, n)):
+                    try:
+                        rhs = rhs_row[head_K + tail_K]
+                    except IndexError:
+                        rhs = tau(head_K + tail_K, ell)
+                    slack = rhs - head_sum - tail_q1
+                    if slack >= 0 and checked + steps <= budget:
+                        checked += steps
+                        if min_slack is None or slack < min_slack:
+                            min_slack = slack
+                        continue
+                    for q in range(1, steps + 1):
                         lhs = head_sum + sum(Ki // (q + 1) for Ki in tail)
                         checked += 1
                         if checked > budget:
@@ -269,11 +305,16 @@ def check_lemma_num(
                                     partial=True,
                                 ),
                             )
-                        note_instance(lhs, rhs, {
-                            "head": [list(p) for p in head],
-                            "tail": list(tail),
-                            "q": q,
-                        })
+                        if min_slack is None or rhs - lhs < min_slack:
+                            min_slack = rhs - lhs
+                        if lhs > rhs:
+                            counterexamples.append({
+                                "head": [list(p) for p in head],
+                                "tail": list(tail),
+                                "q": q,
+                                "lhs": lhs,
+                                "rhs": rhs,
+                            })
 
     return LemmaReport(
         lemma_id="num",
@@ -283,6 +324,14 @@ def check_lemma_num(
         counterexamples=counterexamples,
         notes=("reduced form: rhs is tau(sum K_i, max l_i over the head)",),
     )
+
+
+def _tails(max_K: int, n: int):
+    """(tail, sum of tail, q = 1 tail term) for each n-multiset of
+    1..max_K, in combinations_with_replacement order."""
+    return ((tail, sum(tail), sum(Ki // 2 for Ki in tail))
+            for tail in itertools.combinations_with_replacement(
+                range(1, max_K + 1), n))
 
 
 def _partitions(n: int) -> List[Tuple[int, ...]]:
@@ -299,8 +348,17 @@ def _partitions_bounded(n: int, largest: int):
             yield (first,) + rest
 
 
-def _partitions_into(n: int, parts: int):
-    """Partitions of n into exactly `parts` positive parts, descending."""
-    for p in _partitions_bounded(n, n):
-        if len(p) == parts:
-            yield p
+def _partitions_into(n: int, parts: int, largest: int | None = None):
+    """Partitions of n into exactly `parts` positive parts, descending,
+    each part at most `largest` (default n).  The other parts take at
+    least 1 each, so the first part is at most n - parts + 1."""
+    if parts == 0:
+        if n == 0:
+            yield ()
+        return
+    top = n - parts + 1 if largest is None else min(largest, n - parts + 1)
+    for first in range(top, 0, -1):
+        if first * parts < n:
+            return
+        for rest in _partitions_into(n - first, parts - 1, first):
+            yield (first,) + rest

@@ -53,6 +53,32 @@ def test_sigma_table_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("d, kmax, cells", [
+    (2, 100000, 100001),           # one row of kmax + 1 cells
+    (317, 316, 316 * 317),         # min(kmax, d - 1) rows
+    (2, 10**12, 10**12 + 1),       # would exhaust memory if built
+    (10**9, 10**9, 10**18 - 1),    # (d - 1) * (kmax + 1)
+])
+def test_sigma_table_refuses_over_cell_cap_before_work(capsys, d, kmax, cells):
+    code, out, err = run(capsys, "sigma-table", "--d", str(d),
+                         "--kmax", str(kmax))
+    assert code == 3
+    assert out == ""
+    assert err == (f"budget exhausted: sigma table of {cells} cells "
+                   f"exceeds cap 100000\n")
+
+
+@pytest.mark.parametrize("d, kmax", [(2, 99999), (1, -10**6), (2, -10**6)])
+def test_sigma_table_at_cell_cap_or_invalid_is_not_refused(capsys, d, kmax):
+    code, out, err = run(capsys, "sigma-table", "--d", str(d), "--kmax",
+                         str(kmax), "--format", "csv")
+    if kmax < 0:
+        assert code == 2 and out == "" and err.startswith("error: ")
+    else:
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == min(kmax, d - 1) + 1
+
+
 def test_sigma_table_deterministic(capsys):
     _, out1, _ = run(capsys, "sigma-table", "--d", "15", "--kmax", "15",
                      "--format", "csv")

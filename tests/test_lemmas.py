@@ -1,9 +1,19 @@
-import pytest
+import itertools
+from typing import List
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import cycliccover.lemmas as lemmas_module
 from cycliccover.combinatorics import tau
 from cycliccover.errors import ResourceBudgetError
 from cycliccover.lemmas import (
+    DEFAULT_TUPLE_BUDGET,
+    LemmaReport,
     Staircase,
+    _partitions_bounded,
+    _partitions_into,
     check_lemma_alg,
     check_lemma_num,
     enumerate_staircases,
@@ -130,3 +140,153 @@ def test_report_serialization():
     assert record["instances_checked"] == report.instances_checked
     text = report.to_text()
     assert "PASS" in text and "instances checked" in text
+
+
+def test_partitions_into_matches_length_filter():
+    for n in range(21):
+        every = list(_partitions_bounded(n, n))
+        for parts in range(n + 2):
+            assert list(_partitions_into(n, parts)) == [
+                p for p in every if len(p) == parts]
+
+
+# -- num against the instance-by-instance search ------------------------------
+
+
+def reference_lemma_num(max_m, max_K, max_ell, max_q,
+                        budget=DEFAULT_TUPLE_BUDGET) -> LemmaReport:
+    """The brute-force num search, one tau call and one witness per
+    instance; reads tau off the lemmas module so a patched tau reaches it."""
+    tau = lemmas_module.tau
+    box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
+    pairs = [(K, l) for K in range(1, max_K + 1) for l in range(2, max_ell + 1)]
+    checked = 0
+    min_slack = None
+    counterexamples: List[dict] = []
+
+    def note_instance(lhs: int, rhs: int, witness: dict) -> None:
+        nonlocal min_slack
+        slack = rhs - lhs
+        if min_slack is None or slack < min_slack:
+            min_slack = slack
+        if slack < 0:
+            counterexamples.append(witness | {"lhs": lhs, "rhs": rhs})
+
+    for m in range(1, max_m + 1):
+        for head in itertools.combinations_with_replacement(pairs, m):
+            head_sum = sum(tau(K, l) for K, l in head)
+            head_K = sum(K for K, _ in head)
+            ell = max(l for _, l in head)
+            for r in range(m, max_m + 1):
+                for tail in itertools.combinations_with_replacement(
+                        range(1, max_K + 1), r - m):
+                    K = head_K + sum(tail)
+                    rhs = tau(K, ell)
+                    q_range = range(1, max_q + 1) if tail else (1,)
+                    for q in q_range:
+                        lhs = head_sum + sum(Ki // (q + 1) for Ki in tail)
+                        checked += 1
+                        if checked > budget:
+                            raise ResourceBudgetError(
+                                f"instance budget {budget} exceeded",
+                                partial_report=LemmaReport(
+                                    lemma_id="num",
+                                    parameter_box=box,
+                                    instances_checked=checked - 1,
+                                    max_slack=min_slack,
+                                    counterexamples=counterexamples,
+                                    notes=("partial: budget exhausted",),
+                                    partial=True,
+                                ),
+                            )
+                        note_instance(lhs, rhs, {
+                            "head": [list(p) for p in head],
+                            "tail": list(tail),
+                            "q": q,
+                        })
+
+    return LemmaReport(
+        lemma_id="num",
+        parameter_box=box,
+        instances_checked=checked,
+        max_slack=min_slack,
+        counterexamples=counterexamples,
+        notes=("reduced form: rhs is tau(sum K_i, max l_i over the head)",),
+    )
+
+
+def num_outcome(check, box, budget):
+    """(complete?, text, record) of a num run, partial reports included."""
+    try:
+        report = check(*box, budget=budget)
+    except ResourceBudgetError as exc:
+        report, complete = exc.partial_report, False
+    else:
+        complete = True
+    return complete, report.to_text(), report.to_record()
+
+
+def assert_num_matches_reference(box, budget):
+    expected = num_outcome(reference_lemma_num, box, budget)
+    assert num_outcome(check_lemma_num, box, budget) == expected, (box, budget)
+    return expected
+
+
+GRID = list(itertools.product(range(1, 4), range(1, 7), range(2, 6),
+                              range(1, 4)))
+BUDGETS = (0, 1, 7, 50, 400, DEFAULT_TUPLE_BUDGET)
+
+# tau bent so that the inequality fails: some failing tails fail at q = 1
+# only, so a cut can land inside the walk over q.
+BENT_TAUS = {
+    "plus_one_at_K_div_3": lambda K, l: tau(K, l) + (K % 3 == 0),
+    "minus_one_from_K_7": lambda K, l: tau(K, l) - (K >= 7),
+}
+
+
+def test_lemma_num_matches_reference_on_grid():
+    for box in GRID:
+        for budget in BUDGETS:
+            assert_num_matches_reference(box, budget)
+
+
+@pytest.mark.parametrize("bent", sorted(BENT_TAUS))
+def test_lemma_num_matches_reference_with_counterexamples(monkeypatch, bent):
+    monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS[bent])
+    failing = 0
+    for box in GRID:
+        for budget in BUDGETS:
+            complete, _, record = assert_num_matches_reference(box, budget)
+            failing += complete and not record["passed"]
+    assert failing > 0
+    # Every cut point of a box whose failing tails include ones that fail
+    # at q = 1 but not at q = max_q = 3.
+    box = (2, 4, 3, 3)
+    _, _, record = num_outcome(reference_lemma_num, box, DEFAULT_TUPLE_BUDGET)
+    failed = {(str(c["head"]), str(c["tail"]), c["q"])
+              for c in record["counterexamples"]}
+    assert any(q == 1 and tail != "[]" and (head, tail, 3) not in failed
+               for head, tail, q in failed)
+    for budget in range(record["instances_checked"] + 1):
+        assert_num_matches_reference(box, budget)
+
+
+@pytest.mark.parametrize("cap", [0, 5, 40])
+def test_lemma_num_matches_reference_past_table_cap(monkeypatch, cap):
+    # Tails and tau values past the cap are computed as they are reached.
+    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", cap)
+    monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS["minus_one_from_K_7"])
+    for box in GRID[::3]:
+        for budget in BUDGETS:
+            assert_num_matches_reference(box, budget)
+
+
+@given(head=st.integers(min_value=-50, max_value=50),
+       tail=st.lists(st.integers(min_value=1, max_value=10**6), max_size=6),
+       q=st.integers(min_value=1, max_value=100))
+def test_lemma_num_left_side_nonincreasing_in_q(head, tail, q):
+    # check_lemma_num decides each (head, tail) by its q = 1 slack.
+    def lhs(q):
+        return head + sum(Ki // (q + 1) for Ki in tail)
+    assert lhs(q) >= lhs(q + 1)
+    assert lhs(1) >= lhs(q)
