@@ -2,8 +2,7 @@
 
 Subpackages:
 
-  combinatorics  -- the integer functions gamma, tau, sigma and the
-                    per-twist requirement profiles of both criteria
+  combinatorics  -- the integer functions gamma, tau, sigma and sigma tables
   lemmas         -- brute-force oracles for the two supporting lemmas
   engine         -- decision procedures on positivity profiles
   catalog        -- stock geometries with their expected claims
@@ -14,10 +13,8 @@ Subpackages:
 """
 
 from .combinatorics import (
-    RequiredProfile,
     SigmaTable,
     gamma,
-    required_profile,
     sigma,
     sigma_table,
     tau,
@@ -36,7 +33,6 @@ __all__ = [
     "CoveringScenario",
     "CriterionVerdict",
     "PositivityProfile",
-    "RequiredProfile",
     "ResourceBudgetError",
     "SigmaTable",
     "SingularSystemError",
@@ -44,7 +40,6 @@ __all__ = [
     "gamma",
     "max_guaranteed_jet_order",
     "max_guaranteed_very_order",
-    "required_profile",
     "sigma",
     "sigma_table",
     "tau",

@@ -45,8 +45,9 @@ EXIT_BUDGET = 3
 
 CONFIG_SCHEMA_VERSION = 1
 # sigma-table refuses, before any work, a table of more rendered cells
-# (rows q times columns k) than this: 10^5 cells at d = 2 take about 0.6 s
-# and 40 MB.
+# (rows q times columns k) than this.  Each cell is one O(1) sigma call, so
+# cost follows the rendered text: 10^5 cells take about 0.3 s and a 50 MB
+# peak at d = 2 (one wide row), 0.15 s at d = 316 (2-vCPU VM, Python 3.11).
 SIGMA_TABLE_CELL_CAP = 10**5
 
 

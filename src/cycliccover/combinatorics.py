@@ -8,7 +8,8 @@ subtler quantity sigma(k, d, q) built from
     tau(k, l)   = k - floor(k/l) - l + gamma(k, l) + 1
     gamma(k, l) = 1 if l divides k else 0
 
-via a maximum of tau(k+1, l) over the finite range q+1 <= l <= min(d, k+1).
+via a maximum of tau(k+1, l) over the finite range q+1 <= l <= min(d, k+1),
+which sigma evaluates in closed form: O(1) at any k and d.
 
 Everything here is plain integer arithmetic (Python ints, so no overflow)
 and is safe for concurrent use.
@@ -17,6 +18,7 @@ and is safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Dict, Literal, Tuple
 
 Kind = Literal["jet", "very"]
@@ -43,6 +45,11 @@ def sigma(k: int, d: int, q: int) -> int:
 
     Only the domain the criteria actually query is legal:
     0 <= q <= min(k, d-1).  Anything else raises ValueError.
+
+    floor((k+1)/l) - gamma(k+1, l) = floor(k/l), so tau(k+1, l) - 1 =
+    k + 1 - g(l) with g(l) = l + floor(k/l).  g falls while l(l+1) <= k
+    and rises after, so its minimum over the range of l sits at the clamp
+    of the first l with l(l+1) > k, which is isqrt(k) or isqrt(k) + 1.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -55,8 +62,10 @@ def sigma(k: int, d: int, q: int) -> int:
         )
     if q == 0:
         return k
-    top = min(d, k + 1)
-    return max(tau(k + 1, ell) for ell in range(q + 1, top + 1)) - 1
+    root = isqrt(k)
+    turn = root + 1 if root * (root + 1) <= k else root
+    ell = min(max(turn, q + 1), d)  # both turn and q + 1 are <= k + 1
+    return k + 1 - ell - k // ell
 
 
 @dataclass(frozen=True)
@@ -86,36 +95,6 @@ def sigma_table(d: int, k_max: int) -> SigmaTable:
         for q in range(1, min(k, d - 1) + 1):
             entries[(q, k)] = sigma(k, d, q)
     return SigmaTable(d=d, k_max=k_max, entries=entries)
-
-
-@dataclass(frozen=True)
-class RequiredProfile:
-    """Orders the twists L-qM must carry so the pullback reaches order k.
-
-    requirements[q] is k-q for the jet criterion, and sigma(k, d, q) for
-    the very-ampleness criterion (with requirements[0] = k).
-    """
-
-    kind: Kind
-    k: int
-    d: int
-    requirements: Tuple[int, ...]
-
-
-def required_profile(kind: Kind, k: int, d: int) -> RequiredProfile:
-    """Requirement list indexed by q = 0..min(k, d-1)."""
-    if kind not in ("jet", "very"):
-        raise ValueError(f"kind must be 'jet' or 'very', got {kind!r}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if d < 2:
-        raise ValueError(f"covering degree d must be >= 2, got {d}")
-    qs = range(min(k, d - 1) + 1)
-    if kind == "jet":
-        reqs = tuple(k - q for q in qs)
-    else:
-        reqs = tuple(sigma(k, d, q) for q in qs)
-    return RequiredProfile(kind=kind, k=k, d=d, requirements=reqs)
 
 
 def _require_positive(**named: int) -> None:

@@ -10,6 +10,12 @@ guarantee that the pullback is k-jet ample (resp. k-very ample):
 where effective_very_order = max(jet_order, very_order), since a k-jet
 ample bundle is k-very ample.  Branched and unbranched coverings share the
 same hypotheses; the flag is carried for reporting only.
+
+Twist q constrains only k >= q, and its requirement is nondecreasing in k,
+so the orders it allows are 0..T_q for a threshold T_q >= q-1, and the
+largest guaranteed order is k* = min_q T_q.  A missing twist has T_q = q-1,
+so only the profile's entries and the first missing twist are visited:
+O(entries * log K) sigma terms, whatever d is.
 """
 
 from __future__ import annotations
@@ -91,7 +97,8 @@ class CriterionVerdict:
 
 
 def explain_requirement(kind: Kind, k: int, scenario: CoveringScenario) -> Tuple[QCheck, ...]:
-    """Per-q (required, available) pairs for guaranteeing order k."""
+    """Per-q (required, available) pairs for guaranteeing order k, as the
+    criteria command prints them; the decision itself does not use them."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     checks = []
@@ -109,37 +116,40 @@ def explain_requirement(kind: Kind, k: int, scenario: CoveringScenario) -> Tuple
 
 
 def max_guaranteed_jet_order(scenario: CoveringScenario) -> CriterionVerdict:
-    """Largest k with jet_order(q) >= k-q for all q = 0..min(k, d-1).
-
-    No k above jet_order(0) can satisfy the q=0 requirement, so that is
-    the search bound.
-    """
-    return _bisect(scenario, "jet", scenario.profile.jet_order(0))
+    """Largest k with jet_order(q) >= k-q for all q = 0..min(k, d-1)."""
+    return _min_threshold(scenario, "jet")
 
 
 def max_guaranteed_very_order(scenario: CoveringScenario) -> CriterionVerdict:
-    """Largest k with effective_very_order(q) >= sigma(k, d, q) for all q.
+    """Largest k with effective_very_order(q) >= sigma(k, d, q) for all q."""
+    return _min_threshold(scenario, "very")
 
-    The q=0 requirement sigma(k, d, 0) = k caps feasible k at
-    effective_very_order(0).
+
+def _min_threshold(scenario: CoveringScenario, kind: Kind) -> CriterionVerdict:
+    """k* = min_q T_q; best is the minimum so far, from T_0 = have(0).
+
+    A jet twist allows k <= have(q) + q.  A very twist's T_q is bisected
+    over q-1..best: sigma(k, d, q) is nondecreasing in k, as tau(k+1, l) -
+    tau(k, l) is 0 or 1.
     """
-    return _bisect(scenario, "very", scenario.profile.effective_very_order(0))
-
-
-def _bisect(scenario: CoveringScenario, kind: Kind, bound: int) -> CriterionVerdict:
-    """Largest feasible k in -1..bound, where k = -1 asks for nothing.
-
-    Feasibility is downward closed in k: each requirement (k-q, or
-    sigma(k, d, q), which is nondecreasing in k because tau(k+1, l) -
-    tau(k, l) is 0 or 1) grows with k, and a larger k only adds twists.
-    So the feasible set is 0..k_star and bisection finds its end with
-    O(log bound) calls of explain_requirement.
-    """
-    lo, hi = NO_GUARANTEE, bound + 1  # lo is feasible; hi fails at q=0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if all(c.satisfied for c in explain_requirement(kind, mid, scenario)):
-            lo = mid
-        else:
-            hi = mid
-    return CriterionVerdict(kind=kind, k_star=lo)
+    d = scenario.d
+    if kind == "jet":
+        have = scenario.profile.jet_order
+    else:
+        have = scenario.profile.effective_very_order
+    best = have(0)
+    q = 1
+    while q < d and q - 1 < best:
+        if kind == "jet":
+            best = min(best, have(q) + q)
+        elif sigma(best, d, q) > have(q):
+            lo, hi = q - 1, best  # k < q leaves twist q out; best fails
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if sigma(mid, d, q) <= have(q):
+                    lo = mid
+                else:
+                    hi = mid
+            best = lo
+        q += 1
+    return CriterionVerdict(kind=kind, k_star=best)

@@ -240,7 +240,8 @@ def check_lemma_num(
     witness dicts are built for counterexamples only, so a call costs
     O(#heads * #tails) integer steps rather than O(#instances) tau calls.
     Tables past NUM_TABLE_CAP are not built: those tau values and tails are
-    computed as the search reaches them.
+    computed as the search reaches them.  Nothing the budget keeps the walk
+    from reaching is built, so a huge box at a small budget stays small.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):
@@ -250,21 +251,27 @@ def check_lemma_num(
         raise ValueError(f"max_ell must be >= 2 (each l_i >= 2), got {max_ell}")
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
-    pairs = [(K, l) for K in range(1, max_K + 1) for l in range(2, max_ell + 1)]
+    # Each m = 1 head and each tail costs an instance, so the walk is cut
+    # before pair index budget + 1 and before any K_i above budget + 1.
+    K_reach = min(max_K, budget + 1)
+    pairs = list(itertools.islice(
+        ((K, l) for K in range(1, K_reach + 1) for l in range(2, max_ell + 1)),
+        budget + 1))
     head_tau = {pair: tau(*pair) for pair in pairs}
-    # rhs_tau[l][K] = tau(K, l) for K <= max_m * max_K, within the cap;
+    # rhs_tau[l][K] = tau(K, l) for K <= max_m * K_reach, within the cap;
     # index 0 is never read (K >= m >= 1).
-    K_top = min(max_m * max_K, NUM_TABLE_CAP // (max_ell - 1))
+    top_ell = max(l for _, l in pairs)
+    K_top = min(max_m * K_reach, NUM_TABLE_CAP // (top_ell - 1))
     rhs_tau = {l: [0] + [tau(K, l) for K in range(1, K_top + 1)]
-               for l in range(2, max_ell + 1)}
-    # tables[n] = _tails(max_K, n), for the tail lengths that fit the cap.
+               for l in range(2, top_ell + 1)}
+    # tables[n] = _tails(K_reach, n), for the tail lengths that fit the cap.
     tables: List[list] = []
     parts = 0
     for n in range(max_m):
-        parts += math.comb(max_K + n - 1, n) * n
+        parts += math.comb(K_reach + n - 1, n) * n
         if parts > NUM_TABLE_CAP:
             break
-        tables.append(list(_tails(max_K, n)))
+        tables.append(list(_tails(K_reach, n)))
     checked = 0
     min_slack: int | None = None
     counterexamples: List[dict] = []
@@ -278,7 +285,7 @@ def check_lemma_num(
             for n in range(max_m - m + 1):
                 steps = max_q if n else 1
                 for tail, tail_K, tail_q1 in (
-                        tables[n] if n < len(tables) else _tails(max_K, n)):
+                        tables[n] if n < len(tables) else _tails(K_reach, n)):
                     try:
                         rhs = rhs_row[head_K + tail_K]
                     except IndexError:

@@ -14,10 +14,11 @@ from cycliccover.catalog import (
     geiser_scenario,
     projective_space_scenario,
 )
-from cycliccover.combinatorics import required_profile, sigma, sigma_table
+from cycliccover.combinatorics import sigma, sigma_table
 from cycliccover.engine import (
     CoveringScenario,
     PositivityProfile,
+    explain_requirement,
     max_guaranteed_jet_order,
     max_guaranteed_very_order,
 )
@@ -56,7 +57,10 @@ def test_criterion_02_very_theorem_prose_checks():
         assert sigma(2, d, 1) == 0
         if d >= 3:
             assert sigma(2, d, 2) == 0
-    assert required_profile("very", 4, 15).requirements == (4, 1, 1, 0, 0)
+    no_profile = CoveringScenario(d=15, branched=True,
+                                  profile=PositivityProfile({}))
+    assert [c.required for c in explain_requirement("very", 4, no_profile)] \
+        == [4, 1, 1, 0, 0]
     report(2, "order-2 twists need only global generation; order-4 profile")
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import cycliccover
+from cycliccover import engine
 from cycliccover.cli import build_parser, main
 
 
@@ -312,6 +318,93 @@ def test_criteria_accepts_every_canonical_key(tmp_path, capsys):
                        write_config(tmp_path, text))
     assert code == 0
     assert "jet: k_star = 12" in out
+
+
+def count_sigma_calls(monkeypatch):
+    calls = []
+    real = engine.sigma
+
+    def counted(k, d, q):
+        calls.append((k, d, q))
+        return real(k, d, q)
+
+    monkeypatch.setattr(engine, "sigma", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [10**6, 10**9])
+def test_criteria_huge_degree_costs_nothing_per_twist(tmp_path, capsys,
+                                                      monkeypatch, d):
+    # Only the profile's entries and the first missing twist are looked at,
+    # so the work does not grow with d.
+    calls = count_sigma_calls(monkeypatch)
+    text = json.dumps({"schema": 1, "label": "huge", "d": d,
+                       "profile": {"0": {"jet": 10**18}}})
+    code, out, err = run(capsys, "criteria", "--config",
+                         write_config(tmp_path, text))
+    have = 10**18
+    rows = (f"  k=0 (ok): q=0 need 0 have {have}\n"
+            f"  k=1 (fails): q=0 need 1 have {have}  q=1 need 0 have -1 <-\n")
+    assert (code, err) == (0, "")
+    assert out == (f"scenario: huge (d={d}, branched)\n"
+                   f"jet: k_star = 0\n{rows}very: k_star = 0\n{rows}")
+    assert len(calls) <= 200
+
+
+def test_criteria_dense_profile_at_huge_degree(tmp_path, capsys, monkeypatch):
+    # 200 twists whose very orders fall by 10^15 each: every twist moves
+    # k* down by a bisection of about 60 sigma terms, then the missing
+    # twist q = 200 caps k* at 199.
+    entries, top = 200, 10**18
+    profile = {str(q): {"very": top - q * 10**15} for q in range(entries)}
+
+    def criteria(d):
+        text = json.dumps({"schema": 1, "label": "dense", "d": d,
+                           "profile": profile})
+        return run(capsys, "criteria", "--config", write_config(tmp_path, text))
+
+    calls = count_sigma_calls(monkeypatch)
+    code, out, err = criteria(10**9)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["scenario: dense (d=1000000000, branched)",
+                         "jet: k_star = -1"]
+    assert lines[3] == "very: k_star = 199"
+    # the printed k = 199 and k = 200 rows take one sigma term per twist
+    printed = 2 * entries + 1
+    assert len(calls) <= entries * 64 + printed
+    # no order here reaches past k = 200, where d = 201 already saturates
+    assert criteria(entries + 1) == (
+        0, out.replace("d=1000000000", f"d={entries + 1}"), "")
+
+
+def cli_under_memory_limit(*argv):
+    """Run the CLI in a child process whose address space is capped at 600 MB."""
+    limit = 600 * 2**20
+    src = os.path.dirname(os.path.dirname(cycliccover.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "cycliccover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+
+
+@pytest.mark.parametrize("max_K, max_ell", [(10**8, 3), (3, 10**8)])
+def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell):
+    proc = cli_under_memory_limit(
+        "verify-lemma", "num", "--max-K", str(max_K),
+        "--max-ell", str(max_ell), "--budget", "0")
+    assert (proc.returncode, proc.stderr) == (
+        3, "budget exhausted: instance budget 0 exceeded\n")
+    assert proc.stdout == (
+        "lemma num: PARTIAL\n"
+        f"box max_K={max_K} max_ell={max_ell} max_m=4 max_q=5\n"
+        "instances checked: 0\n"
+        "min slack (bound - observed): None\n"
+        "note: partial: budget exhausted\n")
 
 
 @pytest.mark.parametrize("argv, message", [

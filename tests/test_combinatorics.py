@@ -1,9 +1,11 @@
+import random
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cycliccover.combinatorics import (
     gamma,
-    required_profile,
     sigma,
     sigma_table,
     tau,
@@ -95,13 +97,43 @@ def test_sigma_independent_of_d_once_saturated():
                     assert sigma(k, d, q) == base
 
 
-def test_sigma_definitional_round_trip():
+def sigma_by_scan(k, d, q):
+    """The definition: max of tau(k+1, l) over q+1 <= l <= min(d, k+1), less 1."""
+    return max(tau(k + 1, ell) for ell in range(q + 1, min(d, k + 1) + 1)) - 1
+
+
+def sigma_reference_cases():
+    """(k, d, q) triples on which the closed form must equal the scan."""
     for k in range(0, 30):
         for d in range(2, 20):
             for q in range(1, min(k, d - 1) + 1):
-                expected = max(tau(k + 1, ell)
-                               for ell in range(q + 1, min(d, k + 1) + 1))
-                assert sigma(k, d, q) + 1 == expected
+                yield k, d, q
+    rng = random.Random(20261018)
+    for _ in range(150):
+        d, k = rng.randint(2, 10**4), rng.randint(1, 10**7)
+        yield k, d, rng.randint(1, min(k, d - 1))
+    # l + floor(k/l) stops falling where l(l+1) passes k
+    for ell in range(1, 301):
+        for k in (ell * (ell + 1) - 1, ell * (ell + 1), ell * (ell + 1) + 1):
+            for d in (ell + 1, ell + 2):
+                for q in {1, ell - 2, ell - 1, ell, ell + 1}:
+                    if 1 <= q <= min(k, d - 1):
+                        yield k, d, q
+    # the clamp binds: the range of l starts past the turning point
+    # (q + 1 > isqrt(k) + 1), or ends before it (min(d, k+1) < isqrt(k) - 1)
+    rng = random.Random(7)
+    for _ in range(200):
+        k = rng.randint(100, 10**6)
+        root = isqrt(k)
+        q = rng.randint(root + 1, root + 50)
+        yield k, rng.randint(q + 1, q + 200), q
+        d = rng.randint(2, root - 2)
+        yield k, d, rng.randint(1, d - 1)
+
+
+def test_sigma_definitional_round_trip():
+    for k, d, q in sigma_reference_cases():
+        assert sigma(k, d, q) == sigma_by_scan(k, d, q), (k, d, q)
 
 
 def test_sigma_table_matches_reference():
@@ -127,25 +159,3 @@ def test_sigma_table_rejects_bad_args():
         sigma_table(1, 5)
     with pytest.raises(ValueError):
         sigma_table(5, -1)
-
-
-def test_required_profile_jet():
-    assert required_profile("jet", 3, 2).requirements == (3, 2)
-    assert required_profile("jet", 5, 2).requirements == (5, 4)
-
-
-def test_required_profile_very():
-    assert required_profile("very", 2, 15).requirements == (2, 0, 0)
-    assert required_profile("very", 4, 15).requirements == (4, 1, 1, 0, 0)
-
-
-def test_required_profile_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        required_profile("ample", 2, 3)
-
-
-@given(st.integers(min_value=0, max_value=40), st.integers(min_value=2, max_value=40))
-def test_required_profile_length(k, d):
-    prof = required_profile("very", k, d)
-    assert len(prof.requirements) == min(k, d - 1) + 1
-    assert prof.requirements[0] == k
