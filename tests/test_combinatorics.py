@@ -10,6 +10,11 @@ from cycliccover.combinatorics import (
     sigma_table,
     tau,
 )
+from cycliccover.engine import (
+    CoveringScenario,
+    PositivityProfile,
+    explain_requirement,
+)
 
 # Transcribed by hand: the d=15 reference table, rows q=1..14, columns k=q..15.
 D15_ROWS = {
@@ -134,6 +139,28 @@ def sigma_reference_cases():
 def test_sigma_definitional_round_trip():
     for k, d, q in sigma_reference_cases():
         assert sigma(k, d, q) == sigma_by_scan(k, d, q), (k, d, q)
+
+
+def _required(kind, k, d):
+    """The per-twist order requirements of the k-jet / k-very criterion."""
+    scenario = CoveringScenario(d=d, branched=True,
+                                profile=PositivityProfile({}))
+    return tuple(c.required for c in explain_requirement(kind, k, scenario))
+
+
+def test_required_profile_jet():
+    assert _required("jet", 3, 2) == (3, 2)
+    assert _required("jet", 5, 2) == (5, 4)
+
+
+def test_required_profile_very():
+    assert _required("very", 2, 15) == (2, 0, 0)
+    assert _required("very", 4, 15) == (4, 1, 1, 0, 0)
+
+
+def test_required_profile_rejects_bad_kind():
+    with pytest.raises(ValueError):
+        _required("ample", 2, 3)
 
 
 def test_sigma_table_matches_reference():

@@ -78,16 +78,10 @@ def test_explain_requirement_shapes():
     s = scenario(15, {q: 4 for q in range(15)})
     checks = explain_requirement("very", 4, s)
     assert [c.required for c in checks] == [4, 1, 1, 0, 0]
-    checks = explain_requirement("very", 2, s)
-    assert [c.required for c in checks] == [2, 0, 0]
     checks = explain_requirement("jet", 0, s)
     assert len(checks) == 1 and checks[0].required == 0
     checks = explain_requirement("jet", 5, scenario(2, {0: 9, 1: 9}))
     assert [c.required for c in checks] == [5, 4]
-    checks = explain_requirement("jet", 3, scenario(2, {0: 9, 1: 9}))
-    assert [c.required for c in checks] == [3, 2]
-    with pytest.raises(ValueError):
-        explain_requirement("ample", 2, scenario(3, {}))
 
 
 @given(st.sampled_from(["jet", "very"]), st.integers(0, 40),
