@@ -241,15 +241,6 @@ class CyclotomicNumber:
             return NotImplemented
         return other * self.inverse()
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self.inverse() if exponent < 0 else self
-        result = CyclotomicNumber.one(self.order)
-        for _ in range(abs(exponent)):
-            result = result * base
-        return result
-
     # -- comparison / display ------------------------------------------------
 
     def __eq__(self, other):

@@ -9,8 +9,12 @@ colength k and I_1 has the largest colength, then
 We check it on the concrete model of monomial ideals in two variables,
 where an ideal is a staircase (a downward-closed set of lattice exponents,
 its standard monomials), colength is the cell count, and the standard
-monomials of an intersection are the union of the staircases.  This is
-desk-scale evidence, not a proof for general local rings; reports say so.
+monomials of an intersection are the union of the staircases.  A staircase
+is stored as its column heights, a descending tuple (the partition of its
+colength), so colength is the sum of the heights and a union has the
+tallest column of each position; cells are listed only to print a
+counterexample.  This is desk-scale evidence, not a proof for general local
+rings; reports say so.
 
 The "num" lemma is a pure integer inequality.  We verify its reduced form
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .combinatorics import tau
 from .errors import ResourceBudgetError
@@ -39,61 +43,29 @@ DEFAULT_TUPLE_BUDGET = 10**7
 # instance budget bounds its time.
 NUM_TABLE_CAP = 10**5
 
-Cell = Tuple[int, int]
 
-
-@dataclass(frozen=True)
-class Staircase:
-    """Downward-closed finite set of lattice points (i, j), i, j >= 0.
-
-    Models the standard monomials of a monomial ideal inside the maximal
-    ideal of a 2-variable local ring; the colength of the ideal is the
-    number of cells.  Must be non-empty (the ideal is proper).
-    """
-
-    cells: frozenset
-
-    def __post_init__(self):
-        if not self.cells:
-            raise ValueError("staircase must contain at least the origin")
-        for (i, j) in self.cells:
-            if i < 0 or j < 0:
-                raise ValueError(f"negative cell {(i, j)}")
-            if i > 0 and (i - 1, j) not in self.cells:
-                raise ValueError(f"not downward-closed at {(i, j)}")
-            if j > 0 and (i, j - 1) not in self.cells:
-                raise ValueError(f"not downward-closed at {(i, j)}")
-
-    @property
-    def colength(self) -> int:
-        return len(self.cells)
-
-    @classmethod
-    def from_partition(cls, parts: Iterable[int]) -> "Staircase":
-        """Columns of heights parts[0] >= parts[1] >= ..."""
-        cells = {(i, j) for i, h in enumerate(parts) for j in range(h)}
-        return cls(frozenset(cells))
-
-
-def enumerate_staircases(colength: int, cap: int = DEFAULT_COLENGTH_CAP) -> List[Staircase]:
-    """All staircases of the given colength; there are p(colength) of them."""
+def enumerate_staircases(
+    colength: int, cap: int = DEFAULT_COLENGTH_CAP,
+) -> List[Tuple[int, ...]]:
+    """All staircases of the given colength, as column heights: the
+    partitions of colength in descending lexicographic order, p(colength)
+    of them."""
     if colength < 1:
         raise ValueError(f"colength must be >= 1, got {colength}")
     if colength >= cap:
         raise ResourceBudgetError(
             f"colength {colength} >= enumeration cap {cap}"
         )
-    return [Staircase.from_partition(p) for p in _partitions(colength)]
+    return list(_partitions(colength))
 
 
-def intersection_colength(staircases: List[Staircase]) -> int:
-    """Colength of the intersection ideal: size of the union of staircases."""
+def intersection_colength(staircases: Sequence[Tuple[int, ...]]) -> int:
+    """Colength of the intersection ideal: its staircase is the union, whose
+    columns are the tallest of each position, so the sum of the column-wise
+    maxima of the heights."""
     if not staircases:
         raise ValueError("need at least one staircase")
-    union: set = set()
-    for s in staircases:
-        union |= s.cells
-    return len(union)
+    return sum(map(max, itertools.zip_longest(*staircases, fillvalue=0)))
 
 
 @dataclass
@@ -111,10 +83,6 @@ class LemmaReport:
     @property
     def passed(self) -> bool:
         return not self.counterexamples
-
-    @property
-    def bound_attained(self) -> bool:
-        return self.max_slack == 0
 
     def to_record(self) -> dict:
         return {
@@ -155,7 +123,10 @@ def check_lemma_alg(
     partition descending.  The shape of I_1 never enters the checked
     quantity (only I_2, ..., I_ell are intersected), so shapes are
     enumerated for slots 2..ell while I_1 contributes its p(c_1) choices
-    to the instance count only.
+    to the instance count only.  Each shape is a tuple of column heights,
+    and the intersection colength is the sum of their column-wise maxima.
+    Colength partitions come from a loop, so a large ell costs O(ell) per
+    partition and no stack depth.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
@@ -167,7 +138,7 @@ def check_lemma_alg(
     min_slack: int | None = None
     counterexamples: List[dict] = []
 
-    for colengths in _partitions_into(k, ell):
+    for colengths in _partitions(k, ell):
         # colengths is descending, so colengths[0] is maximal: hypothesis holds.
         shape_lists = [enumerate_staircases(c, cap=cap) for c in colengths]
         n_first = len(shape_lists[0])
@@ -188,14 +159,14 @@ def check_lemma_alg(
                 ),
             )
         for rest in itertools.product(*shape_lists[1:]):
-            observed = intersection_colength(list(rest))
+            observed = intersection_colength(rest)
             slack = bound - observed
             if min_slack is None or slack < min_slack:
                 min_slack = slack
             if slack < 0:
                 counterexamples.append({
                     "colengths": list(colengths),
-                    "staircases": [sorted(s.cells) for s in rest],
+                    "staircases": [_cells(s) for s in rest],
                     "observed": observed,
                     "bound": bound,
                 })
@@ -341,31 +312,37 @@ def _tails(max_K: int, n: int):
                 range(1, max_K + 1), n))
 
 
-def _partitions(n: int) -> List[Tuple[int, ...]]:
-    """Partitions of n as descending tuples."""
-    return list(_partitions_bounded(n, n))
+def _cells(heights: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    """The sorted cells (i, j) of a staircase: column i holds j < heights[i]."""
+    return [(i, j) for i, h in enumerate(heights) for j in range(h)]
 
 
-def _partitions_bounded(n: int, largest: int):
-    if n == 0:
-        yield ()
+def _partitions(n: int, parts: int | None = None):
+    """Partitions of n as descending tuples, in descending lexicographic
+    order; with `parts`, only those into exactly `parts` parts.
+
+    Those are the partitions of n - parts into at most `parts` parts, padded
+    with zeros to `parts` parts and each raised by one, so both cases walk
+    the partitions of some total into at most `width` parts.  The next one
+    lowers the rightmost part that can lose one while the parts after it
+    still fit under it, and refills those parts greedily.
+    """
+    total, width, lift = (n, n, False) if parts is None else (n - parts, parts, True)
+    if total < 0 or (total and not width):
         return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions_bounded(n - first, first):
-            yield (first,) + rest
-
-
-def _partitions_into(n: int, parts: int, largest: int | None = None):
-    """Partitions of n into exactly `parts` positive parts, descending,
-    each part at most `largest` (default n).  The other parts take at
-    least 1 each, so the first part is at most n - parts + 1."""
-    if parts == 0:
-        if n == 0:
-            yield ()
-        return
-    top = n - parts + 1 if largest is None else min(largest, n - parts + 1)
-    for first in range(top, 0, -1):
-        if first * parts < n:
+    a = [total] if total else []
+    while True:
+        if lift:
+            yield tuple([h + 1 for h in a] + [1] * (width - len(a)))
+        else:
+            yield tuple(a)
+        rest = 1  # what the lowered part frees, plus the parts after it
+        for i in range(len(a) - 1, -1, -1):
+            top = a[i] - 1
+            if top * (width - i - 1) >= rest:
+                break
+            rest += a[i]
+        else:
             return
-        for rest in _partitions_into(n - first, parts - 1, first):
-            yield (first,) + rest
+        fill, last = divmod(rest, top)
+        a[i:] = [top] * (fill + 1) + ([last] if last else [])

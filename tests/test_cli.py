@@ -407,6 +407,21 @@ def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell):
         "note: partial: budget exhausted\n")
 
 
+def test_verify_lemma_alg_one_part_per_ideal_at_large_ell():
+    # k = ell: the only colength partition is (1, ..., 1), one instance,
+    # however many parts it has.
+    proc = cli_under_memory_limit(
+        "verify-lemma", "alg", "--k", "1000", "--ell", "1000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "lemma alg: PASS\n"
+        "box ell=1000 k=1000\n"
+        "instances checked: 1\n"
+        "min slack (bound - observed): 0\n"
+        "note: model: monomial ideals in 2 variables (staircases); "
+        "evidence for the local-ring statement, not a proof\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--d", "1", "--trials", "2"],
      "error: --trials 2 needs --d >= 2: a case-2 trial draws its degree "

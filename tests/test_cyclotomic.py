@@ -19,7 +19,11 @@ def test_cyclotomic_polynomials():
 def test_root_power_cycles():
     for d in range(1, 13):
         z = CyclotomicNumber.root_of_unity(d)
-        assert z ** d == 1
+        power = CyclotomicNumber.one(d)
+        for a in range(1, d + 1):
+            power = power * z
+            assert power == CyclotomicNumber.root_of_unity(d, a)
+        assert power == 1
         for a in range(2 * d):
             for b in range(2 * d):
                 equal = CyclotomicNumber.root_of_unity(d, a) == \
@@ -47,7 +51,7 @@ def test_inverse():
         for a in range(d):
             z = CyclotomicNumber.root_of_unity(d, a)
             assert z * z.inverse() == 1
-            assert z ** -1 == z.inverse()
+            assert CyclotomicNumber.root_of_unity(d, -a) == z.inverse()
     x = CyclotomicNumber(5, [1, 2, 0, 1])
     assert x * x.inverse() == 1
     assert (1 / x) * x == 1
@@ -116,7 +120,7 @@ def test_canonical_form_independent_of_route():
         CyclotomicNumber(d, [Fraction(1, 2), Fraction(1, 2)]),
         CyclotomicNumber(d, [2, 2, 0, 0, 0, 0]) / 4,
         (z + 1) * Fraction(1, 2),
-        -(z ** 2) / 2,  # 1 + zeta + zeta^2 = 0
+        -(z * z) / 2,  # 1 + zeta + zeta^2 = 0
         ((z + 1).inverse() * 2).inverse(),
     ]
     keys = {(r.den, r.nums) for r in routes}

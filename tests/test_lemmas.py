@@ -11,9 +11,7 @@ from cycliccover.errors import ResourceBudgetError
 from cycliccover.lemmas import (
     DEFAULT_TUPLE_BUDGET,
     LemmaReport,
-    Staircase,
-    _partitions_bounded,
-    _partitions_into,
+    _partitions,
     check_lemma_alg,
     check_lemma_num,
     enumerate_staircases,
@@ -25,13 +23,16 @@ PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
 
 
 def test_staircase_validation():
+    # A staircase is its column heights; bad input is refused where it
+    # enters, and every enumerated staircase is a descending tuple of
+    # positive heights.
     with pytest.raises(ValueError):
-        Staircase(frozenset())
+        enumerate_staircases(0)
     with pytest.raises(ValueError):
-        Staircase(frozenset({(1, 0)}))  # missing the origin
-    with pytest.raises(ValueError):
-        Staircase(frozenset({(0, 0), (0, -1)}))
-    Staircase(frozenset({(0, 0), (1, 0), (0, 1)}))  # an L shape is fine
+        intersection_colength([])
+    for c in range(1, 12):
+        for s in enumerate_staircases(c):
+            assert min(s) >= 1 and list(s) == sorted(s, reverse=True)
 
 
 def test_enumerate_counts_match_partition_numbers():
@@ -39,7 +40,7 @@ def test_enumerate_counts_match_partition_numbers():
         stairs = enumerate_staircases(c)
         assert len(stairs) == expected
         assert len(set(stairs)) == expected
-        assert all(s.colength == c for s in stairs)
+        assert all(sum(s) == c for s in stairs)
 
 
 def test_enumerate_cap():
@@ -49,10 +50,10 @@ def test_enumerate_cap():
 
 
 def test_intersection_colength_basics():
-    row = Staircase.from_partition([1, 1])      # {(0,0),(1,0)}
-    col = Staircase.from_partition([2])         # {(0,0),(0,1)}
+    row = (1, 1)    # columns of height 1 and 1: cells (0,0), (1,0)
+    col = (2,)      # one column of height 2: cells (0,0), (0,1)
     assert intersection_colength([row, col]) == 3
-    assert intersection_colength([row, row]) == row.colength
+    assert intersection_colength([row, row]) == sum(row)
     assert intersection_colength([col]) == 2
 
 
@@ -144,10 +145,122 @@ def test_report_serialization():
 
 def test_partitions_into_matches_length_filter():
     for n in range(21):
-        every = list(_partitions_bounded(n, n))
+        every = list(_partitions(n))
+        assert every == reference_partitions(n, n)
         for parts in range(n + 2):
-            assert list(_partitions_into(n, parts)) == [
+            assert list(_partitions(n, parts)) == [
                 p for p in every if len(p) == parts]
+
+
+# -- alg against the cell-set search ------------------------------------------
+
+
+def reference_partitions(n: int, largest: int) -> List[tuple]:
+    """Partitions of n with parts at most `largest`, descending tuples in
+    descending lexicographic order, by recursion on the first part."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(n, largest), 0, -1)
+            for rest in reference_partitions(n - first, first)]
+
+
+def reference_staircases(colength: int) -> List[frozenset]:
+    """The staircases of a colength as sets of cells (i, j), column i
+    holding j < height i."""
+    return [frozenset((i, j) for i, h in enumerate(p) for j in range(h))
+            for p in reference_partitions(colength, colength)]
+
+
+def reference_lemma_alg(k, ell, budget=DEFAULT_TUPLE_BUDGET) -> LemmaReport:
+    """The alg search on cell sets: a union of staircases is a set union.
+    Reads tau off the lemmas module so a patched tau reaches it."""
+    bound = lemmas_module.tau(k, ell)
+    checked = 0
+    min_slack = None
+    counterexamples: List[dict] = []
+    for colengths in (p for p in reference_partitions(k, k) if len(p) == ell):
+        shape_lists = [reference_staircases(c) for c in colengths]
+        combos = len(shape_lists[0])
+        for lst in shape_lists[1:]:
+            combos *= len(lst)
+        if checked + combos > budget:
+            raise ResourceBudgetError(
+                f"tuple budget {budget} exceeded at colengths {colengths}",
+                partial_report=LemmaReport(
+                    lemma_id="alg",
+                    parameter_box={"k": k, "ell": ell},
+                    instances_checked=checked,
+                    max_slack=min_slack,
+                    counterexamples=counterexamples,
+                    notes=("partial: budget exhausted",),
+                    partial=True,
+                ),
+            )
+        for rest in itertools.product(*shape_lists[1:]):
+            observed = len(frozenset().union(*rest))
+            slack = bound - observed
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+            if slack < 0:
+                counterexamples.append({
+                    "colengths": list(colengths),
+                    "staircases": [sorted(s) for s in rest],
+                    "observed": observed,
+                    "bound": bound,
+                })
+            checked += len(shape_lists[0])
+    return LemmaReport(
+        lemma_id="alg",
+        parameter_box={"k": k, "ell": ell},
+        instances_checked=checked,
+        max_slack=min_slack,
+        counterexamples=counterexamples,
+        notes=(
+            "model: monomial ideals in 2 variables (staircases); "
+            "evidence for the local-ring statement, not a proof",
+        ),
+    )
+
+
+def alg_outcome(check, k, ell, budget):
+    """(error message, text, record) of an alg run, partial reports
+    included; the message is None for a complete run."""
+    try:
+        report = check(k, ell, budget=budget)
+    except ResourceBudgetError as exc:
+        return str(exc), exc.partial_report.to_text(), \
+            exc.partial_report.to_record()
+    return None, report.to_text(), report.to_record()
+
+
+@pytest.mark.parametrize("bent", [0, 2])
+def test_lemma_alg_matches_cell_set_reference(monkeypatch, bent):
+    # tau lowered by 2 makes most boxes fail, so counterexample cell lists
+    # and the partial reports that carry them are compared too.
+    monkeypatch.setattr(lemmas_module, "tau", lambda K, l: tau(K, l) - bent)
+    kinds = set()  # (partial?, failing?) of the reports compared
+    for ell in range(2, 6):
+        for k in range(ell, ell + 7):
+            for budget in (0, 3, 50, DEFAULT_TUPLE_BUDGET):
+                expected = alg_outcome(reference_lemma_alg, k, ell, budget)
+                assert alg_outcome(check_lemma_alg, k, ell, budget) == \
+                    expected, (k, ell, budget)
+                kinds.add((expected[0] is not None,
+                           bool(expected[2]["counterexamples"])))
+    if bent:
+        assert kinds == {(True, False), (False, True), (True, True)}
+    else:
+        assert kinds == {(False, False), (True, False)}
+
+
+def test_intersection_colength_matches_cell_union():
+    heights = [s for c in range(1, 7) for s in enumerate_staircases(c)]
+    cells = [s for c in range(1, 7) for s in reference_staircases(c)]
+    assert len(heights) == len(cells) == sum(PARTITION_COUNTS[:6])
+    for r in (1, 2, 3):
+        for pick in itertools.product(range(len(heights)), repeat=r):
+            assert intersection_colength([heights[i] for i in pick]) == \
+                len(frozenset().union(*(cells[i] for i in pick)))
 
 
 # -- num against the instance-by-instance search ------------------------------
