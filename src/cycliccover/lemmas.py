@@ -56,7 +56,7 @@ def enumerate_staircases(
         raise ResourceBudgetError(
             f"colength {colength} >= enumeration cap {cap}"
         )
-    return list(_partitions(colength))
+    return list(_partitions(colength, colength))
 
 
 def intersection_colength(staircases: Sequence[Tuple[int, ...]]) -> int:
@@ -125,8 +125,10 @@ def check_lemma_alg(
     enumerated for slots 2..ell while I_1 contributes its p(c_1) choices
     to the instance count only.  Each shape is a tuple of column heights,
     and the intersection colength is the sum of their column-wise maxima.
-    Colength partitions come from a loop, so a large ell costs O(ell) per
-    partition and no stack depth.
+    A colength partition is a partition of the excess k - ell into at most
+    ell parts, part h standing for colength h + 1 and every other slot for
+    colength 1, whose staircase (1,) lies inside every other: only slots of
+    colength >= 2 are intersected, so a colength-1 slot costs nothing.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
@@ -138,16 +140,20 @@ def check_lemma_alg(
     min_slack: int | None = None
     counterexamples: List[dict] = []
 
-    for colengths in _partitions(k, ell):
-        # colengths is descending, so colengths[0] is maximal: hypothesis holds.
-        shape_lists = [enumerate_staircases(c, cap=cap) for c in colengths]
-        n_first = len(shape_lists[0])
-        combos = 1
-        for lst in shape_lists[1:]:
-            combos *= len(lst)
-        if checked + n_first * combos > budget:
+    shapes: Dict[int, List[Tuple[int, ...]]] = {}  # by colength, built once
+    for excess in _partitions(k - ell, ell):
+        # descending, so the first slot has maximal colength: hypothesis holds.
+        big = [h + 1 for h in excess] or [1]
+        for c in big:  # big[0] first: a colength over the cap raises there
+            if c not in shapes:
+                shapes[c] = enumerate_staircases(c, cap=cap)
+        n_first = len(shapes[big[0]])
+        shape_lists = [shapes[c] for c in big[1:]]
+        pad = ell - len(big)  # the colength-1 slots after big
+        if checked + n_first * math.prod(map(len, shape_lists)) > budget:
             raise ResourceBudgetError(
-                f"tuple budget {budget} exceeded at colengths {colengths}",
+                f"tuple budget {budget} exceeded at colengths "
+                f"{tuple(big) + (1,) * pad}",
                 partial_report=LemmaReport(
                     lemma_id="alg",
                     parameter_box={"k": k, "ell": ell},
@@ -158,15 +164,15 @@ def check_lemma_alg(
                     partial=True,
                 ),
             )
-        for rest in itertools.product(*shape_lists[1:]):
-            observed = intersection_colength(rest)
+        for rest in itertools.product(*shape_lists):
+            observed = intersection_colength(rest) if rest else 1
             slack = bound - observed
             if min_slack is None or slack < min_slack:
                 min_slack = slack
             if slack < 0:
                 counterexamples.append({
-                    "colengths": list(colengths),
-                    "staircases": [_cells(s) for s in rest],
+                    "colengths": big + [1] * pad,
+                    "staircases": [_cells(s) for s in rest + ((1,),) * pad],
                     "observed": observed,
                     "bound": bound,
                 })
@@ -317,25 +323,18 @@ def _cells(heights: Tuple[int, ...]) -> List[Tuple[int, int]]:
     return [(i, j) for i, h in enumerate(heights) for j in range(h)]
 
 
-def _partitions(n: int, parts: int | None = None):
-    """Partitions of n as descending tuples, in descending lexicographic
-    order; with `parts`, only those into exactly `parts` parts.
+def _partitions(total: int, width: int):
+    """Partitions of total into at most width parts, as descending tuples in
+    descending lexicographic order.
 
-    Those are the partitions of n - parts into at most `parts` parts, padded
-    with zeros to `parts` parts and each raised by one, so both cases walk
-    the partitions of some total into at most `width` parts.  The next one
-    lowers the rightmost part that can lose one while the parts after it
-    still fit under it, and refills those parts greedily.
+    The next one lowers the rightmost part that can lose one while the parts
+    after it still fit under it, and refills those parts greedily.
     """
-    total, width, lift = (n, n, False) if parts is None else (n - parts, parts, True)
     if total < 0 or (total and not width):
         return
     a = [total] if total else []
     while True:
-        if lift:
-            yield tuple([h + 1 for h in a] + [1] * (width - len(a)))
-        else:
-            yield tuple(a)
+        yield tuple(a)
         rest = 1  # what the lowered part frees, plus the parts after it
         for i in range(len(a) - 1, -1, -1):
             top = a[i] - 1

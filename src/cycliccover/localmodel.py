@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple
 
 from .cyclotomic import CyclotomicNumber
 from .errors import ResourceBudgetError, SingularSystemError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, collect_terms
 
 TRUNCATION_CAP = 12
 
@@ -55,12 +55,11 @@ def evaluate_at_orbit_point(decomposition: SectionDecomposition,
                             beta: int) -> TruncatedSeries:
     """Value of the section at the orbit point indexed by beta: substitute
     t -> zeta_d^beta, i.e. sum_q zeta^(q*beta) * components[q]."""
-    d = decomposition.d
-    total = None
-    for q, comp in enumerate(decomposition.components):
-        weighted = comp.scale(CyclotomicNumber.root_of_unity(d, q * beta))
-        total = weighted if total is None else total + weighted
-    return total
+    d, comps = decomposition.d, decomposition.components
+    roots = [CyclotomicNumber.root_of_unity(d, q * beta) for q in range(d)]
+    return collect_terms(comps[0].variables, min(c.bound for c in comps), (
+        (exps, root * coeff) for root, comp in zip(roots, comps)
+        for exps, coeff in comp.terms.items()))
 
 
 def apply_deck(decomposition: SectionDecomposition) -> SectionDecomposition:
@@ -85,14 +84,13 @@ def multiply_decompositions(a: SectionDecomposition,
     if a.d != b.d:
         raise ValueError("degree mismatch")
     d = a.d
-    bound = min(min(c.bound for c in a.components),
-                min(c.bound for c in b.components))
-    vars0 = a.components[0].variables
-    out: List[TruncatedSeries] = [
-        TruncatedSeries.zero(vars0, bound) for _ in range(d)]
+    bound = min(c.bound for c in a.components + b.components)
+    # adding into zeros of the least bound truncates every product
+    out = [TruncatedSeries.zero(a.components[0].variables, bound)
+           for _ in range(d)]
     for q, cq in enumerate(a.components):
         for p, cp in enumerate(b.components):
-            out[(q + p) % d] = out[(q + p) % d] + cq.truncate(bound) * cp.truncate(bound)
+            out[(q + p) % d] = out[(q + p) % d] + cq * cp
     return SectionDecomposition(d, tuple(out))
 
 
@@ -213,28 +211,20 @@ def decompose_jet_ramified(jet: TruncatedSeries, d: int) -> List[TruncatedSeries
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     down = base_coordinates(jet.variables)
-    buckets: List[dict] = [{} for _ in range(d)]
+    buckets: List[list] = [[] for _ in range(d)]
     for exps, coeff in jet.terms.items():
         q = exps[0] % d
-        buckets[q][((exps[0] - q) // d,) + exps[1:]] = coeff
-    return [TruncatedSeries(down, jet.bound, b) for b in buckets]
+        buckets[q].append((((exps[0] - q) // d,) + exps[1:], coeff))
+    return [collect_terms(down, jet.bound, b) for b in buckets]
 
 
 def reassemble_ramified(components: Sequence[TruncatedSeries], d: int,
                         variables: Sequence[str], bound: int) -> TruncatedSeries:
     """Inverse of the splitting: sum_q u_1^q * components[q](v_1 -> u_1^d)."""
-    terms: dict = {}
-    for q, comp in enumerate(components):
-        for exps, coeff in comp.terms.items():
-            up = (q + d * exps[0],) + exps[1:]
-            if sum(up) >= bound:
-                continue
-            acc = terms.get(up, 0) + coeff
-            if acc == 0:
-                terms.pop(up, None)
-            else:
-                terms[up] = acc
-    return TruncatedSeries(variables, bound, terms)
+    return collect_terms(tuple(variables), bound, (
+        ((q + d * exps[0],) + exps[1:], coeff)
+        for q, comp in enumerate(components)
+        for exps, coeff in comp.terms.items()))
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,41 @@ A TruncatedSeries models a jet: an element of O/m^K, i.e. only terms of
 total degree strictly below the bound K are kept, and multiplication
 closes under the truncation.  Coefficients are exact (Fraction or
 CyclotomicNumber); equality of jets is literal equality of term maps.
+Terms are validated once, where a series is built from outside; results of
+arithmetic are valid by construction and skip the checks.  One routine,
+collect_terms, sums the terms of +, * and the ramified reassembly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Dict, Iterable, Mapping, Tuple
 
 Exponents = Tuple[int, ...]
+
+
+def _make(variables, bound: int, terms) -> "TruncatedSeries":
+    """A series from terms already valid for (variables, bound); unchecked."""
+    series = object.__new__(TruncatedSeries)
+    object.__setattr__(series, "variables", variables)
+    object.__setattr__(series, "bound", bound)
+    object.__setattr__(series, "terms", terms)
+    return series
+
+
+def collect_terms(variables: Tuple[str, ...], bound: int,
+                  pairs: Iterable[Tuple[Exponents, object]]) -> "TruncatedSeries":
+    """Sum (exponents, coefficient) pairs mod m^bound: equal exponents add up
+    from their first coefficient; degrees >= bound and zero sums drop out.
+    Unchecked: exponents must fit the variables, none negative, bound >= 0."""
+    out: Dict[Exponents, object] = {}
+    for exps, c in pairs:
+        if sum(exps) < bound:
+            prev = out.get(exps)
+            out[exps] = c if prev is None else prev + c
+    return _make(variables, bound, {e: c for e, c in out.items() if c != 0})
 
 
 class TruncatedSeries:
@@ -46,7 +73,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, variables: Iterable[str], bound: int) -> "TruncatedSeries":
-        return cls(variables, bound)
+        return _make(tuple(variables), bound, {})
 
     @classmethod
     def monomial(cls, variables: Iterable[str], bound: int,
@@ -76,21 +103,12 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        bound = min(self.bound, other.bound)
-        out: Dict[Exponents, object] = {}
-        for exps, c in list(self.terms.items()) + list(other.terms.items()):
-            if sum(exps) >= bound:
-                continue
-            acc = out.get(exps, 0) + c
-            if acc == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return TruncatedSeries(self.variables, bound, out)
+        return collect_terms(self.variables, min(self.bound, other.bound),
+                             chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        return TruncatedSeries(self.variables, self.bound,
-                               {e: -c for e, c in self.terms.items()})
+        return _make(self.variables, self.bound,
+                     {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -98,43 +116,33 @@ class TruncatedSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            bound = min(self.bound, other.bound)
-            out: Dict[Exponents, object] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    if sum(exps) >= bound:
-                        continue
-                    acc = out.get(exps, 0) + c1 * c2
-                    if acc == 0:
-                        out.pop(exps, None)
-                    else:
-                        out[exps] = acc
-            return TruncatedSeries(self.variables, bound, out)
-        return self.scale(other)
+        if not isinstance(other, TruncatedSeries):
+            return self.scale(other)
+        self._check_compatible(other)
+        bound = min(self.bound, other.bound)
+        # a product past the bound is skipped before its coefficients multiply
+        return collect_terms(self.variables, bound, (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items() if sum(e1) + sum(e2) < bound))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, scalar) -> "TruncatedSeries":
-        if scalar == 0:
-            return TruncatedSeries.zero(self.variables, self.bound)
-        return TruncatedSeries(self.variables, self.bound,
-                               {e: scalar * c for e, c in self.terms.items()})
+        return _make(self.variables, self.bound, {} if scalar == 0 else
+                     {e: scalar * c for e, c in self.terms.items()})
 
     def truncate(self, bound: int) -> "TruncatedSeries":
         """Image in O/m^bound (drop terms of total degree >= bound)."""
-        return TruncatedSeries(
-            self.variables, bound,
-            {e: c for e, c in self.terms.items() if sum(e) < bound})
+        return _make(self.variables, bound,
+                     {e: c for e, c in self.terms.items() if sum(e) < bound})
 
     def with_bound(self, bound: int) -> "TruncatedSeries":
         """Reinterpret at a larger bound (a lift: same terms)."""
         if bound < self.bound:
             raise ValueError("use truncate() to lower the bound")
-        return TruncatedSeries(self.variables, bound, self.terms)
+        return _make(self.variables, bound, dict(self.terms))
 
     # -- comparison / display --------------------------------------------------
 

@@ -422,6 +422,22 @@ def test_verify_lemma_alg_one_part_per_ideal_at_large_ell():
         "evidence for the local-ring statement, not a proof\n")
 
 
+def test_verify_lemma_alg_small_excess_at_huge_ell():
+    # k = ell + 10 with ell > 10: the colength partitions are the 42
+    # partitions of the excess 10, each padded with colength-1 ideals, and
+    # tau(k, ell) = 10.  The counts match those at ell = 1000.
+    proc = cli_under_memory_limit(
+        "verify-lemma", "alg", "--k", "10000010", "--ell", "10000000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "lemma alg: PASS\n"
+        "box ell=10000000 k=10000010\n"
+        "instances checked: 11577\n"
+        "min slack (bound - observed): 3\n"
+        "note: model: monomial ideals in 2 variables (staircases); "
+        "evidence for the local-ring statement, not a proof\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--d", "1", "--trials", "2"],
      "error: --trials 2 needs --d >= 2: a case-2 trial draws its degree "

@@ -145,11 +145,11 @@ def test_report_serialization():
 
 def test_partitions_into_matches_length_filter():
     for n in range(21):
-        every = list(_partitions(n))
+        every = list(_partitions(n, n))
         assert every == reference_partitions(n, n)
-        for parts in range(n + 2):
-            assert list(_partitions(n, parts)) == [
-                p for p in every if len(p) == parts]
+        for width in range(n + 2):
+            assert list(_partitions(n, width)) == [
+                p for p in every if len(p) <= width]
 
 
 # -- alg against the cell-set search ------------------------------------------

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cycliccover.cyclotomic import CyclotomicNumber
+from cycliccover.localmodel import decompose_jet_ramified, reassemble_ramified
 from cycliccover.series import TruncatedSeries
 
 U = ("u1", "u2")
@@ -85,3 +88,74 @@ def test_ring_identities_small():
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+# -- arithmetic results keep the constructor's invariants ------------------------
+
+
+def assert_valid(series):
+    """What TruncatedSeries.__init__ enforces, checked on a built series."""
+    for exps, coeff in series.terms.items():
+        assert len(exps) == len(series.variables)
+        assert min(exps) >= 0
+        assert sum(exps) < series.bound
+        assert coeff != 0
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def coefficient_kinds(draw):
+    """Fractions, or elements of one cyclotomic field (zero included)."""
+    order = draw(st.sampled_from([None, 3, 4, 6]))
+    if order is None:
+        return rationals
+    return st.lists(rationals, max_size=3).map(
+        lambda cs: CyclotomicNumber(order, cs))
+
+
+@st.composite
+def series_with(draw, coeffs, variables=U, min_degree=0):
+    bound = draw(st.integers(0, 6))
+    exps = [(i, j) for i in range(bound) for j in range(bound - i)
+            if i + j >= min_degree]
+    chosen = draw(st.lists(st.sampled_from(exps), unique=True)) if exps else []
+    return TruncatedSeries(variables, bound, {e: draw(coeffs) for e in chosen})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_arithmetic_results_keep_constructor_invariants(data):
+    coeffs = data.draw(coefficient_kinds())
+    a = data.draw(series_with(coeffs))
+    b = data.draw(series_with(coeffs))
+    # products of terms of degree >= 3 fall past every bound drawn
+    high = data.draw(series_with(coeffs, min_degree=3))
+    scalar = data.draw(coeffs)
+    d = data.draw(st.integers(1, 4))
+    down = data.draw(st.lists(
+        series_with(coeffs, variables=("v1", "u2")), min_size=d, max_size=d))
+    results = [a + b, a - b, a * b, a + (-a), a - a, high * high,
+               a.scale(scalar), scalar * a, a * scalar,
+               a.truncate(data.draw(st.integers(0, 8))),
+               a.with_bound(a.bound + data.draw(st.integers(0, 3))),
+               TruncatedSeries.zero(U, a.bound),
+               reassemble_ramified(decompose_jet_ramified(a, d), d, U, a.bound),
+               reassemble_ramified(down, d, U, data.draw(st.integers(0, 8)))]
+    results += decompose_jet_ramified(a, d)
+    for result in results:
+        assert_valid(result)
+    assert (a + (-a)).is_zero() and (a - a).is_zero()
+    assert (high * high).is_zero()
+
+
+def test_products_cancel_exactly():
+    one_plus = s(4, {(0, 0): 1, (1, 0): 1})
+    one_minus = s(4, {(0, 0): 1, (1, 0): -1})
+    product = one_plus * one_minus  # 1 - u1^2: the u1 terms cancel
+    assert product.terms == {(0, 0): 1, (2, 0): -1}
+    assert_valid(product)
+    z = CyclotomicNumber.root_of_unity(3)
+    w = TruncatedSeries(U, 3, {(0, 0): z, (0, 1): -z})
+    assert (w + w.scale(-1)).is_zero()
