@@ -13,7 +13,6 @@ Subpackages:
 """
 
 from .combinatorics import (
-    SigmaTable,
     gamma,
     sigma,
     sigma_table,
@@ -34,7 +33,6 @@ __all__ = [
     "CriterionVerdict",
     "PositivityProfile",
     "ResourceBudgetError",
-    "SigmaTable",
     "SingularSystemError",
     "explain_requirement",
     "gamma",

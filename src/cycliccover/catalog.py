@@ -17,11 +17,12 @@ experiments can probe the boundary.  The catalog packages the claims each
 scenario should satisfy under the decision engine; claims with provenance
 "informational" are reported but never counted as failures (the Bertini
 constants derived here differ from the closed-form ones quoted for it,
-and both condition sets are surfaced for comparison).
+and the bertini entry's notes state both condition sets).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -63,7 +64,7 @@ def projective_space_scenario(n: int, a: int, r: int, d: int) -> CoveringScenari
     return CoveringScenario(
         d=d,
         branched=True,
-        profile=PositivityProfile(entries, label=f"O({a}) on P^{n}, M=O({r})"),
+        profile=PositivityProfile(entries),
         label=f"projective space n={n}, a={a}, r={r}, d={d}",
     )
 
@@ -76,7 +77,7 @@ def geiser_scenario(k: int) -> CoveringScenario:
     return CoveringScenario(
         d=2,
         branched=True,
-        profile=PositivityProfile(entries, label=f"O({k}) on P^2, M=O(1)"),
+        profile=PositivityProfile(entries),
         label=f"Geiser double plane, k={k}",
     )
 
@@ -94,7 +95,7 @@ def hirzebruch2_scenario(a: int, b: int) -> CoveringScenario:
     return CoveringScenario(
         d=2,
         branched=True,
-        profile=PositivityProfile(entries, label=f"{a}D+{b}f on F_2, M=2D+3f"),
+        profile=PositivityProfile(entries),
         label=f"Bertini cover of F_2, a={a}, b={b}",
     )
 
@@ -110,7 +111,7 @@ def abelian_torsion_scenario(m: int, d: int) -> CoveringScenario:
     return CoveringScenario(
         d=d,
         branched=False,
-        profile=PositivityProfile(entries, label=f"{m}*Theta, d-torsion twist"),
+        profile=PositivityProfile(entries),
         label=f"abelian torsion cover, m={m}, d={d}",
     )
 
@@ -156,11 +157,7 @@ class CatalogEntry:
         return self.builder(**self.parameters)
 
 
-_COMPARE = {
-    "==": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-}
+_COMPARE = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
 
 
 def evaluate_entry(entry: CatalogEntry) -> List[ClaimResult]:
@@ -178,20 +175,6 @@ def evaluate_entry(entry: CatalogEntry) -> List[ClaimResult]:
             holds=_COMPARE[claim.comparison](k_star, claim.value),
         ))
     return results
-
-
-def bertini_jet_conditions(k: int) -> dict:
-    """Both condition sets for k-jet ampleness of the F_2 pullback.
-
-    The engine's criterion unwinds to {a >= k+1, b >= 2a+k}; the
-    closed-form conditions quoted for this cover are {a >= k+1, b >= 3k}.
-    Returned for side-by-side reporting, not asserted.
-    """
-    return {
-        "k": k,
-        "engine": {"a_min": k + 1, "b_min_given_a": f"2*a+{k}"},
-        "quoted": {"a_min": k + 1, "b_min": 3 * k},
-    }
 
 
 def default_catalog() -> List[CatalogEntry]:

@@ -2,8 +2,11 @@
 
 Commands: sigma-table, verify-lemma, criteria, examples, local-model.
 Exit codes: 0 success, 1 claim/lemma failure, 2 usage or parse error,
-3 search budget exhausted.  All output is byte-deterministic for fixed
-arguments; the structured-records format emits one JSON object per line.
+3 search budget exhausted.  Commands raise; only main turns an error into
+its stderr line and exit code, and prints the partial report a budget cut
+carries.  sigma-table prints the rows of combinatorics.sigma_table, blank
+where k < q.  All output is byte-deterministic for fixed arguments; the
+structured-records format emits one JSON object per line.
 The environment variable CYCLICCOVER_BUDGET overrides the default search
 budget for the lemma commands.
 """
@@ -58,17 +61,22 @@ class ConfigError(ValueError):
 # -- sigma-table -------------------------------------------------------------
 
 
-def render_sigma_table(table, fmt: str) -> str:
-    ks = list(range(table.k_max + 1))
-    rows = []
-    for q in table.rows():
-        cells = ["" if (q, k) not in table.entries else str(table.entries[(q, k)])
-                 for k in ks]
-        rows.append((f"L-{q}M", cells))
+def render_sigma_table(d: int, kmax: int, fmt: str) -> str:
+    """The sigma table of degree d up to order kmax in format fmt; row q's
+    cells for k < q are blank, and structured records skip them."""
+    rows = sigma_table(d, kmax)
+    if fmt == "structured-records":
+        return "\n".join(
+            json.dumps({"d": d, "q": q, "k": k, "sigma": value}, sort_keys=True)
+            for q, row in rows.items() for k, value in enumerate(row, q))
+
+    ks = list(range(kmax + 1))
+    labelled = [(f"L-{q}M", [""] * q + [str(value) for value in row])
+                for q, row in rows.items()]
 
     if fmt == "csv":
         lines = ["q\\k," + ",".join(str(k) for k in ks)]
-        for label, cells in rows:
+        for label, cells in labelled:
             lines.append(label + "," + ",".join(cells))
         return "\n".join(lines)
 
@@ -76,29 +84,16 @@ def render_sigma_table(table, fmt: str) -> str:
         header = "| k | " + " | ".join(str(k) for k in ks) + " |"
         sep = "|---" * (len(ks) + 1) + "|"
         lines = [header, sep]
-        for label, cells in rows:
+        for label, cells in labelled:
             lines.append("| " + label + " | " + " | ".join(cells) + " |")
         return "\n".join(lines)
 
-    if fmt == "plain":
-        width = max(4, len(str(table.k_max)) + 1)
-        header = "q\\k".ljust(8) + "".join(str(k).rjust(width) for k in ks)
-        lines = [header]
-        for label, cells in rows:
-            lines.append(label.ljust(8) + "".join(c.rjust(width) for c in cells))
-        return "\n".join(lines)
-
-    if fmt == "structured-records":
-        lines = []
-        for q in table.rows():
-            for k in ks:
-                if (q, k) in table.entries:
-                    lines.append(json.dumps(
-                        {"d": table.d, "q": q, "k": k,
-                         "sigma": table.entries[(q, k)]}, sort_keys=True))
-        return "\n".join(lines)
-
-    raise ConfigError(f"unknown format {fmt!r}")
+    width = max(4, len(str(kmax)) + 1)
+    header = "q\\k".ljust(8) + "".join(str(k).rjust(width) for k in ks)
+    lines = [header]
+    for label, cells in labelled:
+        lines.append(label.ljust(8) + "".join(c.rjust(width) for c in cells))
+    return "\n".join(lines)
 
 
 def _cmd_sigma_table(args) -> int:
@@ -108,7 +103,7 @@ def _cmd_sigma_table(args) -> int:
     if cells > SIGMA_TABLE_CELL_CAP:
         raise ResourceBudgetError(
             f"sigma table of {cells} cells exceeds cap {SIGMA_TABLE_CELL_CAP}")
-    print(render_sigma_table(sigma_table(args.d, args.kmax), args.format))
+    print(render_sigma_table(args.d, args.kmax, args.format))
     return EXIT_OK
 
 
@@ -130,18 +125,12 @@ def _budget(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
-    try:
-        if args.lemma == "alg":
-            report = lemmas.check_lemma_alg(args.k, args.ell, budget=_budget(args))
-        else:
-            report = lemmas.check_lemma_num(
-                args.max_m, args.max_K, args.max_ell, args.max_q,
-                budget=_budget(args))
-    except ResourceBudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        if exc.partial_report is not None:
-            _emit_report(exc.partial_report, args.format)
-        return EXIT_BUDGET
+    if args.lemma == "alg":
+        report = lemmas.check_lemma_alg(args.k, args.ell, budget=_budget(args))
+    else:
+        report = lemmas.check_lemma_num(
+            args.max_m, args.max_K, args.max_ell, args.max_q,
+            budget=_budget(args))
     _emit_report(report, args.format)
     return EXIT_OK if report.passed else EXIT_FAILURE
 
@@ -194,7 +183,7 @@ def load_scenario_config(path: str) -> CoveringScenario:
     try:
         return CoveringScenario(
             d=d, branched=branched,
-            profile=PositivityProfile(entries, label=label), label=label)
+            profile=PositivityProfile(entries), label=label)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -230,11 +219,7 @@ def _require_int(obj: dict, key: str, default=None) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    try:
-        scenario = load_scenario_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario_config(args.config)
     verdicts = {
         "jet": max_guaranteed_jet_order(scenario),
         "very": max_guaranteed_very_order(scenario),
@@ -269,9 +254,7 @@ def _cmd_examples(args) -> int:
         entries = [e for e in entries if e.id == args.only]
         if not entries:
             known = ", ".join(e.id for e in _catalog.default_catalog())
-            print(f"error: unknown entry {args.only!r}; known: {known}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown entry {args.only!r}; known: {known}")
     any_failure = False
     for entry in entries:
         results = _catalog.evaluate_entry(entry)
@@ -412,7 +395,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceBudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        if exc.partial_report is not None:
+            _emit_report(exc.partial_report, args.format)
         return EXIT_BUDGET
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

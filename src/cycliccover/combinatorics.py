@@ -9,7 +9,9 @@ subtler quantity sigma(k, d, q) built from
     gamma(k, l) = 1 if l divides k else 0
 
 via a maximum of tau(k+1, l) over the finite range q+1 <= l <= min(d, k+1),
-which sigma evaluates in closed form: O(1) at any k and d.
+which sigma evaluates in closed form: O(1) at any k and d.  sigma_table
+lists those values row by row: row q holds sigma(k, d, q) for k = q..k_max,
+the only orders at which twist q is queried.
 
 Everything here is plain integer arithmetic (Python ints, so no overflow)
 and is safe for concurrent use.
@@ -17,9 +19,8 @@ and is safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, Literal, Tuple
+from typing import Dict, List, Literal
 
 Kind = Literal["jet", "very"]
 
@@ -33,7 +34,7 @@ def gamma(k: int, ell: int) -> int:
 def tau(k: int, ell: int) -> int:
     """k - floor(k/ell) - ell + gamma(k, ell) + 1; may be <= 0 for large ell."""
     _require_positive(k=k, ell=ell)
-    return k - k // ell - ell + gamma(k, ell) + 1
+    return k - k // ell - ell + (k % ell == 0) + 1
 
 
 def sigma(k: int, d: int, q: int) -> int:
@@ -68,33 +69,15 @@ def sigma(k: int, d: int, q: int) -> int:
     return k + 1 - ell - k // ell
 
 
-@dataclass(frozen=True)
-class SigmaTable:
-    """All sigma(k, d, q) values with q >= 1 for a fixed degree d.
-
-    Entries exist exactly for 1 <= q <= min(k, d-1), 0 <= k <= k_max.
-    """
-
-    d: int
-    k_max: int
-    entries: Dict[Tuple[int, int], int]
-
-    def rows(self) -> list[int]:
-        """Row indices q in ascending order (empty when k_max = 0)."""
-        return list(range(1, min(self.k_max, self.d - 1) + 1))
-
-
-def sigma_table(d: int, k_max: int) -> SigmaTable:
-    """Tabulate sigma(k, d, q) over all legal pairs with k <= k_max."""
+def sigma_table(d: int, k_max: int) -> Dict[int, List[int]]:
+    """Rows of sigma for q >= 1: row q is [sigma(k, d, q) for k in q..k_max],
+    for 1 <= q <= min(k_max, d-1), so it has no entry for k < q."""
     if d < 2:
         raise ValueError(f"covering degree d must be >= 2, got {d}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    entries: Dict[Tuple[int, int], int] = {}
-    for k in range(k_max + 1):
-        for q in range(1, min(k, d - 1) + 1):
-            entries[(q, k)] = sigma(k, d, q)
-    return SigmaTable(d=d, k_max=k_max, entries=entries)
+    return {q: [sigma(k, d, q) for k in range(q, k_max + 1)]
+            for q in range(1, min(k_max, d - 1) + 1)}
 
 
 def _require_positive(**named: int) -> None:

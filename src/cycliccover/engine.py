@@ -38,7 +38,6 @@ class PositivityProfile:
     """
 
     entries: Mapping[int, Tuple[int, int]]
-    label: str = ""
 
     def __post_init__(self):
         for q, (j, v) in self.entries.items():
@@ -49,9 +48,6 @@ class PositivityProfile:
 
     def jet_order(self, q: int) -> int:
         return self.entries.get(q, (NO_GUARANTEE, NO_GUARANTEE))[0]
-
-    def very_order(self, q: int) -> int:
-        return self.entries.get(q, (NO_GUARANTEE, NO_GUARANTEE))[1]
 
     def effective_very_order(self, q: int) -> int:
         """Best very-ampleness order, folding in jet => very."""

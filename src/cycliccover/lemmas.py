@@ -44,17 +44,15 @@ DEFAULT_TUPLE_BUDGET = 10**7
 NUM_TABLE_CAP = 10**5
 
 
-def enumerate_staircases(
-    colength: int, cap: int = DEFAULT_COLENGTH_CAP,
-) -> List[Tuple[int, ...]]:
+def enumerate_staircases(colength: int) -> List[Tuple[int, ...]]:
     """All staircases of the given colength, as column heights: the
     partitions of colength in descending lexicographic order, p(colength)
     of them."""
     if colength < 1:
         raise ValueError(f"colength must be >= 1, got {colength}")
-    if colength >= cap:
+    if colength >= DEFAULT_COLENGTH_CAP:
         raise ResourceBudgetError(
-            f"colength {colength} >= enumeration cap {cap}"
+            f"colength {colength} >= enumeration cap {DEFAULT_COLENGTH_CAP}"
         )
     return list(_partitions(colength, colength))
 
@@ -115,7 +113,6 @@ def check_lemma_alg(
     k: int,
     ell: int,
     budget: int = DEFAULT_TUPLE_BUDGET,
-    cap: int = DEFAULT_COLENGTH_CAP,
 ) -> LemmaReport:
     """Exhaust all staircase tuples (I_1, ..., I_ell) with total colength k.
 
@@ -146,7 +143,7 @@ def check_lemma_alg(
         big = [h + 1 for h in excess] or [1]
         for c in big:  # big[0] first: a colength over the cap raises there
             if c not in shapes:
-                shapes[c] = enumerate_staircases(c, cap=cap)
+                shapes[c] = enumerate_staircases(c)
         n_first = len(shapes[big[0]])
         shape_lists = [shapes[c] for c in big[1:]]
         pad = ell - len(big)  # the colength-1 slots after big

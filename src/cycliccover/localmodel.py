@@ -300,18 +300,18 @@ def case3_construct(d: int, jet: TruncatedSeries, order: int) -> RamifiedConstru
 # -- randomized trial driver (shared by tests and the CLI) --------------------
 
 
-def run_case2_trial(rng: random.Random, max_d: int = 6,
-                    max_order: int = 4, n_vars: int = 2) -> dict:
-    """One randomized fiber-separation trial; returns an audit transcript."""
+def run_case2_trial(rng: random.Random, max_d: int = 6) -> dict:
+    """One randomized fiber-separation trial, jets in u1, u2 of orders 1..4
+    at l <= d points of a fiber; returns an audit transcript."""
     d = rng.randint(2, max_d)
     l = rng.randint(1, d)
     betas = rng.sample(range(d), l)
-    orders = [rng.randint(1, max_order) for _ in range(l)]
-    variables = tuple(f"u{i + 1}" for i in range(n_vars))
+    orders = [rng.randint(1, 4) for _ in range(l)]
+    variables = ("u1", "u2")
     jets = []
     for order in orders:
         terms = {}
-        for exps in _exponents_below(n_vars, order):
+        for exps in _exponents_below(len(variables), order):
             if rng.random() < 0.5:
                 terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         jets.append(TruncatedSeries(variables, order, terms))

@@ -41,14 +41,12 @@ def report(n, name):
 
 
 def test_criterion_01_sigma_table_reproduction():
-    table = sigma_table(15, 15)
-    expected = {(q, q + i): v
-                for q, row in D15_ROWS.items() for i, v in enumerate(row)}
-    assert table.entries == expected
-    assert table.entries[(1, 15)] == 9
-    assert table.entries[(2, 4)] == 1
-    assert table.entries[(3, 7)] == 3
-    assert table.entries[(5, 10)] == 4
+    table = sigma_table(15, 15)  # row q holds k = q..15
+    assert table == D15_ROWS
+    assert table[1][15 - 1] == 9
+    assert table[2][4 - 2] == 1
+    assert table[3][7 - 3] == 3
+    assert table[5][10 - 5] == 4
     report(1, "sigma table d=15 reproduced entry-for-entry")
 
 
@@ -119,7 +117,7 @@ def test_criterion_08_local_model_constructions():
     # 1000 randomized fiber-separation trials, met exactly.
     rng = random.Random(20250826)
     for _ in range(1000):
-        assert run_case2_trial(rng, max_d=6, max_order=4)["prescriptions_met"]
+        assert run_case2_trial(rng, max_d=6)["prescriptions_met"]
     # Split/reassemble round trip is the identity, d <= 5, K <= 6.
     for d in range(1, 6):
         for K in range(1, 7):

@@ -2,7 +2,6 @@ import pytest
 
 from cycliccover.catalog import (
     abelian_torsion_scenario,
-    bertini_jet_conditions,
     default_catalog,
     evaluate_entry,
     geiser_scenario,
@@ -83,12 +82,6 @@ def test_hirzebruch_quoted_borderline_fails_engine():
     for k in range(2, 6):
         s = hirzebruch2_scenario(k + 1, 3 * k)
         assert max_guaranteed_jet_order(s).k_star < k
-
-
-def test_bertini_jet_conditions_record():
-    cond = bertini_jet_conditions(2)
-    assert cond["engine"]["a_min"] == 3
-    assert cond["quoted"] == {"a_min": 3, "b_min": 6}
 
 
 def test_abelian_tightness():

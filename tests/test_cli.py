@@ -8,6 +8,7 @@ import pytest
 
 import cycliccover
 from cycliccover import engine
+from cycliccover.combinatorics import sigma
 from cycliccover.cli import build_parser, main
 
 
@@ -91,6 +92,54 @@ def test_sigma_table_deterministic(capsys):
     _, out2, _ = run(capsys, "sigma-table", "--d", "15", "--kmax", "15",
                      "--format", "csv")
     assert out1 == out2
+
+
+def _sigma_table_cells(fmt, out, kmax):
+    """{row label: cells} of a rendered table, after checking its header."""
+    lines = out.splitlines()
+    ks = [str(k) for k in range(kmax + 1)]
+    if fmt == "csv":
+        assert lines[0].split(",") == ["q\\k"] + ks
+        rows = [line.split(",") for line in lines[1:]]
+    elif fmt == "markdown":
+        assert lines[0] == "| k | " + " | ".join(ks) + " |"
+        assert lines[1] == "|---" * (kmax + 2) + "|"
+        rows = [[c.strip() for c in line.split("|")[1:-1]]
+                for line in lines[2:]]
+    else:
+        width = max(4, len(str(kmax)) + 1)
+        assert lines[0] == "q\\k".ljust(8) + "".join(k.rjust(width) for k in ks)
+        for line in lines[1:]:
+            assert len(line) == 8 + (kmax + 1) * width
+        rows = [[line[:8].strip()] + [line[i:i + width].strip()
+                                      for i in range(8, len(line), width)]
+                for line in lines[1:]]
+    return {row[0]: row[1:] for row in rows}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "markdown", "csv",
+                                 "structured-records"])
+def test_sigma_table_every_cell(capsys, fmt):
+    # A cell is blank exactly when k < q and otherwise holds sigma(k, d, q);
+    # structured records list exactly the legal (q, k) pairs, row by row.
+    for d in [*range(2, 13), 40]:
+        for kmax in range(16):
+            code, out, err = run(capsys, "sigma-table", "--d", str(d),
+                                 "--kmax", str(kmax), "--format", fmt)
+            assert (code, err) == (0, ""), (d, kmax)
+            qs = range(1, min(kmax, d - 1) + 1)
+            if fmt == "structured-records":
+                body = out.removesuffix("\n")
+                records = [json.loads(line) for line in body.split("\n")
+                           if body]
+                assert records == [
+                    {"d": d, "q": q, "k": k, "sigma": sigma(k, d, q)}
+                    for q in qs for k in range(q, kmax + 1)], (d, kmax)
+                continue
+            assert _sigma_table_cells(fmt, out, kmax) == {
+                f"L-{q}M": ["" if k < q else str(sigma(k, d, q))
+                            for k in range(kmax + 1)]
+                for q in qs}, (d, kmax)
 
 
 def test_verify_lemma_alg(capsys):
@@ -229,6 +278,15 @@ def test_examples_unknown_entry(capsys):
     code, _, err = run(capsys, "examples", "--only", "unknown")
     assert code == 2
     assert "unknown" in err
+
+
+def test_examples_unknown_entry_lists_known_ids(capsys):
+    code, out, err = run(capsys, "examples", "--only", "nope")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown entry 'nope'; known: abelian-principal, "
+        "elliptic-product, projective-space-r2d2, projective-space-r3d3, "
+        "geiser, bertini, bertini-quoted-borderline\n")
 
 
 def test_examples_structured(capsys):

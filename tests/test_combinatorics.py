@@ -165,20 +165,16 @@ def test_required_profile_rejects_bad_kind():
 
 def test_sigma_table_matches_reference():
     table = sigma_table(15, 15)
-    assert table.rows() == list(range(1, 15))
-    expected_cells = {(q, q + i): v
-                      for q, row in D15_ROWS.items()
-                      for i, v in enumerate(row)}
-    assert table.entries == expected_cells
+    assert list(table) == list(range(1, 15))
+    assert table == D15_ROWS
 
 
 def test_sigma_table_small():
-    table = sigma_table(2, 3)
-    assert table.entries == {(1, 1): 0, (1, 2): 0, (1, 3): 1}
+    assert sigma_table(2, 3) == {1: [0, 0, 1]}
 
 
 def test_sigma_table_kmax_zero():
-    assert sigma_table(7, 0).entries == {}
+    assert sigma_table(7, 0) == {}
 
 
 def test_sigma_table_rejects_bad_args():
