@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from .combinatorics import Kind
 from .engine import (
@@ -148,10 +149,17 @@ class ClaimResult:
 class CatalogEntry:
     id: str
     description: str
-    parameters: Dict[str, int]
+    parameters: Mapping[str, int]
     builder: Callable[..., CoveringScenario]
     claims: Tuple[Claim, ...]
     notes: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
+
+    def __hash__(self):
+        return hash((self.id, self.description, frozenset(self.parameters.items()),
+                     self.builder, self.claims, self.notes))
 
     def scenario(self) -> CoveringScenario:
         return self.builder(**self.parameters)

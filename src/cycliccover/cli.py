@@ -9,6 +9,11 @@ where k < q.  All output is byte-deterministic for fixed arguments; the
 structured-records format emits one JSON object per line.
 The environment variable CYCLICCOVER_BUDGET overrides the default search
 budget for the lemma commands.
+
+Importing this module and building the parser load no layer module: each
+command imports the layers it runs when it runs, so sigma-table loads only
+combinatorics, criteria engine and combinatorics, and verify-lemma lemmas
+and combinatorics.
 """
 
 from __future__ import annotations
@@ -17,29 +22,9 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
-from fractions import Fraction
 
-from . import catalog as _catalog
-from . import lemmas
-from .combinatorics import sigma_table
-from .engine import (
-    CoveringScenario,
-    PositivityProfile,
-    explain_requirement,
-    max_guaranteed_jet_order,
-    max_guaranteed_very_order,
-)
 from .errors import ResourceBudgetError
-from .localmodel import (
-    TRUNCATION_CAP,
-    case3_construct,
-    run_case2_trial,
-    vandermonde_residual,
-    vandermonde_solve,
-)
-from .series import TruncatedSeries
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -64,6 +49,8 @@ class ConfigError(ValueError):
 def render_sigma_table(d: int, kmax: int, fmt: str) -> str:
     """The sigma table of degree d up to order kmax in format fmt; row q's
     cells for k < q are blank, and structured records skip them."""
+    from .combinatorics import sigma_table
+
     rows = sigma_table(d, kmax)
     if fmt == "structured-records":
         return "\n".join(
@@ -117,7 +104,9 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("CYCLICCOVER_BUDGET")
     if env is None:
-        return lemmas.DEFAULT_TUPLE_BUDGET
+        from .lemmas import DEFAULT_TUPLE_BUDGET
+
+        return DEFAULT_TUPLE_BUDGET
     if not (env.isascii() and env.isdigit()):
         raise ValueError(
             f"CYCLICCOVER_BUDGET must be a non-negative integer, got {env!r}")
@@ -125,10 +114,12 @@ def _budget(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
+    from .lemmas import check_lemma_alg, check_lemma_num
+
     if args.lemma == "alg":
-        report = lemmas.check_lemma_alg(args.k, args.ell, budget=_budget(args))
+        report = check_lemma_alg(args.k, args.ell, budget=_budget(args))
     else:
-        report = lemmas.check_lemma_num(
+        report = check_lemma_num(
             args.max_m, args.max_K, args.max_ell, args.max_q,
             budget=_budget(args))
     _emit_report(report, args.format)
@@ -147,11 +138,17 @@ def _emit_report(report, fmt: str) -> None:
 
 def load_scenario_config(path: str) -> CoveringScenario:
     """Strict JSON scenario config: unknown or duplicate keys, non-integers
-    and profile keys other than "0".."d-1" rejected."""
+    and profile keys other than "0".."d-1" rejected.  A file that cannot
+    be read, decoded or parsed (bad UTF-8, bad JSON, an integer past the
+    interpreter's digit limit) is a ConfigError too."""
+    from .engine import CoveringScenario, PositivityProfile
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
-    except (OSError, json.JSONDecodeError) as exc:
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -219,6 +216,12 @@ def _require_int(obj: dict, key: str, default=None) -> int:
 
 
 def _cmd_criteria(args) -> int:
+    from .engine import (
+        explain_requirement,
+        max_guaranteed_jet_order,
+        max_guaranteed_very_order,
+    )
+
     scenario = load_scenario_config(args.config)
     verdicts = {
         "jet": max_guaranteed_jet_order(scenario),
@@ -249,15 +252,17 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    entries = _catalog.default_catalog()
+    from .catalog import default_catalog, evaluate_entry
+
+    entries = default_catalog()
     if args.only is not None:
         entries = [e for e in entries if e.id == args.only]
         if not entries:
-            known = ", ".join(e.id for e in _catalog.default_catalog())
+            known = ", ".join(e.id for e in default_catalog())
             raise ValueError(f"unknown entry {args.only!r}; known: {known}")
     any_failure = False
     for entry in entries:
-        results = _catalog.evaluate_entry(entry)
+        results = evaluate_entry(entry)
         if args.format == "structured-records":
             for res in results:
                 print(json.dumps({"entry": entry.id} | res.to_record(),
@@ -283,6 +288,18 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_local_model(args) -> int:
+    import random
+    from fractions import Fraction
+
+    from .localmodel import (
+        TRUNCATION_CAP,
+        case3_construct,
+        run_case2_trial,
+        vandermonde_residual,
+        vandermonde_solve,
+    )
+    from .series import TruncatedSeries
+
     if args.d < 1:
         raise ValueError(f"--d must be >= 1, got {args.d}")
     if args.trials < 0:

@@ -21,6 +21,7 @@ O(entries * log K) sigma terms, whatever d is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Tuple
 
 from .combinatorics import Kind, sigma
@@ -34,7 +35,9 @@ class PositivityProfile:
 
     Orders are best-known lower bounds with -1 meaning "no guarantee",
     0 global generation, 1 very ampleness, and so on.  Missing q reads
-    as (-1, -1).  An order-k guarantee implies all lower orders.
+    as (-1, -1).  An order-k guarantee implies all lower orders.  The
+    entries are checked, then kept as a read-only copy, and profiles hash
+    by value.
     """
 
     entries: Mapping[int, Tuple[int, int]]
@@ -45,6 +48,11 @@ class PositivityProfile:
                 raise ValueError(f"twist index q must be >= 0, got {q}")
             if j < NO_GUARANTEE or v < NO_GUARANTEE:
                 raise ValueError(f"orders must be >= -1, got {(j, v)} at q={q}")
+        # A read-only copy, so the checked entries stay checked.
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+
+    def __hash__(self):
+        return hash(frozenset(self.entries.items()))
 
     def jet_order(self, q: int) -> int:
         return self.entries.get(q, (NO_GUARANTEE, NO_GUARANTEE))[0]

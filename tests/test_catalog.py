@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cycliccover.catalog import (
@@ -115,3 +117,20 @@ def test_catalog_informational_borderline_reported_not_met():
 def test_get_entry_unknown():
     with pytest.raises(KeyError):
         get_entry("nope")
+
+
+def test_catalog_entries_hash_and_equal_across_builds():
+    first, second = default_catalog(), default_catalog()
+    assert first == second
+    assert [hash(e) for e in first] == [hash(e) for e in second]
+    assert len(set(first)) == len(first)
+    assert len({e.scenario() for e in first}) == len(first)
+
+
+def test_catalog_entry_parameters_are_read_only():
+    entry = get_entry("bertini")
+    with pytest.raises(TypeError):
+        entry.parameters["a"] = 0
+    reordered = dataclasses.replace(entry, parameters={"b": 9, "a": 3})
+    assert reordered == entry and hash(reordered) == hash(entry)
+    assert reordered.scenario() == entry.scenario()

@@ -535,3 +535,32 @@ def test_verify_lemma_rejects_bad_budget_env(capsys, monkeypatch, value):
     assert (code, out) == (2, "")
     assert err == ("error: CYCLICCOVER_BUDGET must be a non-negative "
                    f"integer, got {value!r}\n")
+
+
+def test_criteria_reports_undecodable_config_as_config_error(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"schema": 1, "d": 2, "label": "\xff", "profile": {}}')
+    code, out, err = run(capsys, "criteria", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot read config {config}: ")
+    assert "'utf-8' codec can't decode byte 0xff" in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts integers of any length")
+def test_criteria_reports_over_long_integer_as_config_error(tmp_path, capsys):
+    text = '{"schema": 1, "d": 2, "profile": {"0": {"jet": ' + "9" * 5000 + "}}}"
+    path = write_config(tmp_path, text)
+    code, out, err = run(capsys, "criteria", "--config", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot read config {path}: ")
+    assert "Exceeds the limit" in err
+
+
+def test_criteria_duplicate_key_keeps_its_own_message(tmp_path, capsys):
+    from cycliccover.cli import ConfigError
+    assert issubclass(ConfigError, ValueError)
+    path = write_config(tmp_path, '{"schema": 1, "schema": 1}')
+    code, out, err = run(capsys, "criteria", "--config", path)
+    assert (code, out, err) == (
+        2, "", "config error: duplicate config key 'schema'\n")

@@ -231,3 +231,28 @@ def test_order_1e18_profile_exact_k_star():
     very = scenario(d, {0: (-1, top)} | {q: (-1, cap) for q in range(1, d)})
     assert max_guaranteed_very_order(very).k_star == k0
     assert max_guaranteed_jet_order(very).k_star == -1
+
+
+def test_profile_hash_ignores_insertion_order():
+    a = PositivityProfile({0: (3, 4), 1: (2, -1), 5: (0, 0)})
+    b = PositivityProfile({5: (0, 0), 1: (2, -1), 0: (3, 4)})
+    assert a == b and hash(a) == hash(b)
+    assert a != PositivityProfile({0: (3, 4)})
+    assert hash(PositivityProfile({0: (1, 1)})) == hash(PositivityProfile({0: (1, 1)}))
+
+
+def test_profile_entries_are_read_only_and_copied():
+    source = {0: (1, 1)}
+    prof = PositivityProfile(source)
+    with pytest.raises(TypeError):
+        prof.entries[0] = (-7, 0)
+    source[0] = (-7, 0)
+    assert prof.jet_order(0) == 1
+    assert dict(prof.entries) == {0: (1, 1)}
+
+
+def test_scenario_hashes_and_equals_by_value():
+    a = scenario(3, {0: 4, 2: (1, 2)})
+    b = scenario(3, {2: (1, 2), 0: 4})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, scenario(3, {0: 4})}) == 2
