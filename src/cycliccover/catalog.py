@@ -23,14 +23,11 @@ and the bertini entry's notes state both condition sets).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Tuple
 
-from .combinatorics import Kind
 from .engine import (
     CoveringScenario,
-    CriterionVerdict,
     PositivityProfile,
     max_guaranteed_jet_order,
     max_guaranteed_very_order,
@@ -117,21 +114,17 @@ def abelian_torsion_scenario(m: int, d: int) -> CoveringScenario:
     )
 
 
-@dataclass(frozen=True)
-class Claim:
-    """Expected relation between the engine's k_star and a stated value."""
-    kind: Kind
-    comparison: str  # '==', '>=', '<='
-    value: int
-    provenance: str  # 'stated' | 'derived' | 'informational'
-    note: str = ""
+class Claim(namedtuple("Claim", "kind comparison value provenance note",
+                       defaults=("",))):
+    """Expected relation between the engine's k_star and a stated value:
+    kind "jet" or "very", comparison "==", ">=" or "<=", provenance
+    "stated", "derived" or "informational"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim: Claim
-    k_star: int
-    holds: bool
+class ClaimResult(namedtuple("ClaimResult", "claim k_star holds")):
+    __slots__ = ()
 
     def to_record(self) -> dict:
         return {
@@ -145,17 +138,19 @@ class ClaimResult:
         }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    description: str
-    parameters: Mapping[str, int]
-    builder: Callable[..., CoveringScenario]
-    claims: Tuple[Claim, ...]
-    notes: Tuple[str, ...] = ()
+class CatalogEntry(namedtuple(
+        "CatalogEntry", "id description parameters builder claims notes")):
+    """A named scenario: builder(**parameters) builds it, and claims are
+    what the engine should find.  The parameters are copied into a
+    read-only mapping, and entries hash by value."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
+    __slots__ = ()
+
+    def __new__(cls, id: str, description: str, parameters: dict,
+                builder, claims: tuple[Claim, ...], notes: tuple[str, ...] = ()):
+        return super().__new__(cls, id, description,
+                               MappingProxyType(dict(parameters)),
+                               builder, claims, notes)
 
     def __hash__(self):
         return hash((self.id, self.description, frozenset(self.parameters.items()),
@@ -168,9 +163,9 @@ class CatalogEntry:
 _COMPARE = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
 
 
-def evaluate_entry(entry: CatalogEntry) -> List[ClaimResult]:
+def evaluate_entry(entry: CatalogEntry) -> list[ClaimResult]:
     scenario = entry.scenario()
-    verdicts: Dict[Kind, CriterionVerdict] = {
+    verdicts = {
         "jet": max_guaranteed_jet_order(scenario),
         "very": max_guaranteed_very_order(scenario),
     }
@@ -185,7 +180,7 @@ def evaluate_entry(entry: CatalogEntry) -> List[ClaimResult]:
     return results
 
 
-def default_catalog() -> List[CatalogEntry]:
+def default_catalog() -> list[CatalogEntry]:
     return [
         CatalogEntry(
             id="abelian-principal",
@@ -269,10 +264,3 @@ def default_catalog() -> List[CatalogEntry]:
             ),
         ),
     ]
-
-
-def get_entry(entry_id: str) -> CatalogEntry:
-    for entry in default_catalog():
-        if entry.id == entry_id:
-            return entry
-    raise KeyError(entry_id)

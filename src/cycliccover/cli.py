@@ -10,17 +10,17 @@ structured-records format emits one JSON object per line.
 The environment variable CYCLICCOVER_BUDGET overrides the default search
 budget for the lemma commands.
 
-Importing this module and building the parser load no layer module: each
-command imports the layers it runs when it runs, so sigma-table loads only
-combinatorics, criteria engine and combinatorics, and verify-lemma lemmas
-and combinatorics.
+Importing this module and building the parser load no layer module and
+not json.  Each command binds the names it runs, from its layers and from
+json, on its first call in a process (the _import_* functions), so
+sigma-table loads only combinatorics, criteria engine and combinatorics,
+and verify-lemma lemmas and combinatorics.  json is loaded by criteria and
+local-model, and by the other commands only for --format
+structured-records.  No command loads dataclasses.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -43,16 +43,32 @@ class ConfigError(ValueError):
     pass
 
 
+# Each _import_* function binds module globals once per process, on the
+# first call of a command that needs them; later calls return at once.
+
+
+@functools.cache
+def _import_json() -> None:
+    global json
+    import json
+
+
 # -- sigma-table -------------------------------------------------------------
+
+
+@functools.cache
+def _import_sigma_table() -> None:
+    global sigma_table
+    from .combinatorics import sigma_table
 
 
 def render_sigma_table(d: int, kmax: int, fmt: str) -> str:
     """The sigma table of degree d up to order kmax in format fmt; row q's
     cells for k < q are blank, and structured records skip them."""
-    from .combinatorics import sigma_table
-
+    _import_sigma_table()
     rows = sigma_table(d, kmax)
     if fmt == "structured-records":
+        _import_json()
         return "\n".join(
             json.dumps({"d": d, "q": q, "k": k, "sigma": value}, sort_keys=True)
             for q, row in rows.items() for k, value in enumerate(row, q))
@@ -97,6 +113,12 @@ def _cmd_sigma_table(args) -> int:
 # -- verify-lemma --------------------------------------------------------------
 
 
+@functools.cache
+def _import_lemmas() -> None:
+    global DEFAULT_TUPLE_BUDGET, check_lemma_alg, check_lemma_num
+    from .lemmas import DEFAULT_TUPLE_BUDGET, check_lemma_alg, check_lemma_num
+
+
 def _budget(args) -> int:
     if args.budget is not None:
         if args.budget < 0:
@@ -104,8 +126,7 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("CYCLICCOVER_BUDGET")
     if env is None:
-        from .lemmas import DEFAULT_TUPLE_BUDGET
-
+        _import_lemmas()
         return DEFAULT_TUPLE_BUDGET
     if not (env.isascii() and env.isdigit()):
         raise ValueError(
@@ -114,8 +135,7 @@ def _budget(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
-    from .lemmas import check_lemma_alg, check_lemma_num
-
+    _import_lemmas()
     if args.lemma == "alg":
         report = check_lemma_alg(args.k, args.ell, budget=_budget(args))
     else:
@@ -128,6 +148,7 @@ def _cmd_verify_lemma(args) -> int:
 
 def _emit_report(report, fmt: str) -> None:
     if fmt == "structured-records":
+        _import_json()
         print(json.dumps(report.to_record(), sort_keys=True))
     else:
         print(report.to_text())
@@ -136,13 +157,26 @@ def _emit_report(report, fmt: str) -> None:
 # -- criteria ------------------------------------------------------------------
 
 
-def load_scenario_config(path: str) -> CoveringScenario:
+@functools.cache
+def _import_engine() -> None:
+    global CoveringScenario, PositivityProfile, explain_requirement
+    global max_guaranteed_jet_order, max_guaranteed_very_order
+    from .engine import (
+        CoveringScenario,
+        PositivityProfile,
+        explain_requirement,
+        max_guaranteed_jet_order,
+        max_guaranteed_very_order,
+    )
+
+
+def load_scenario_config(path: str) -> "CoveringScenario":
     """Strict JSON scenario config: unknown or duplicate keys, non-integers
     and profile keys other than "0".."d-1" rejected.  A file that cannot
     be read, decoded or parsed (bad UTF-8, bad JSON, an integer past the
     interpreter's digit limit) is a ConfigError too."""
-    from .engine import CoveringScenario, PositivityProfile
-
+    _import_json()
+    _import_engine()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
@@ -216,12 +250,6 @@ def _require_int(obj: dict, key: str, default=None) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    from .engine import (
-        explain_requirement,
-        max_guaranteed_jet_order,
-        max_guaranteed_very_order,
-    )
-
     scenario = load_scenario_config(args.config)
     verdicts = {
         "jet": max_guaranteed_jet_order(scenario),
@@ -251,9 +279,14 @@ def _cmd_criteria(args) -> int:
 # -- examples ---------------------------------------------------------------
 
 
-def _cmd_examples(args) -> int:
+@functools.cache
+def _import_catalog() -> None:
+    global default_catalog, evaluate_entry
     from .catalog import default_catalog, evaluate_entry
 
+
+def _cmd_examples(args) -> int:
+    _import_catalog()
     entries = default_catalog()
     if args.only is not None:
         entries = [e for e in entries if e.id == args.only]
@@ -264,6 +297,7 @@ def _cmd_examples(args) -> int:
     for entry in entries:
         results = evaluate_entry(entry)
         if args.format == "structured-records":
+            _import_json()
             for res in results:
                 print(json.dumps({"entry": entry.id} | res.to_record(),
                                  sort_keys=True))
@@ -287,7 +321,10 @@ def _cmd_examples(args) -> int:
 # -- local-model ----------------------------------------------------------------
 
 
-def _cmd_local_model(args) -> int:
+@functools.cache
+def _import_local_model() -> None:
+    global random, Fraction, TruncatedSeries, TRUNCATION_CAP, case3_construct
+    global run_case2_trial, vandermonde_residual, vandermonde_solve
     import random
     from fractions import Fraction
 
@@ -300,6 +337,10 @@ def _cmd_local_model(args) -> int:
     )
     from .series import TruncatedSeries
 
+
+def _cmd_local_model(args) -> int:
+    _import_json()
+    _import_local_model()
     if args.d < 1:
         raise ValueError(f"--d must be >= 1, got {args.d}")
     if args.trials < 0:

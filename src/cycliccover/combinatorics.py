@@ -20,9 +20,6 @@ and is safe for concurrent use.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Dict, List, Literal
-
-Kind = Literal["jet", "very"]
 
 
 def gamma(k: int, ell: int) -> int:
@@ -69,7 +66,7 @@ def sigma(k: int, d: int, q: int) -> int:
     return k + 1 - ell - k // ell
 
 
-def sigma_table(d: int, k_max: int) -> Dict[int, List[int]]:
+def sigma_table(d: int, k_max: int) -> dict[int, list[int]]:
     """Rows of sigma for q >= 1: row q is [sigma(k, d, q) for k in q..k_max],
     for 1 <= q <= min(k_max, d-1), so it has no entry for k < q."""
     if d < 2:

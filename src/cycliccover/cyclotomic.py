@@ -11,16 +11,16 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, List, Tuple, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> Tuple[int, ...]:
+def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Integer coefficients (constant term first) of the d-th cyclotomic
     polynomial, computed by dividing x^d - 1 by the proper-divisor ones."""
     if d < 1:
@@ -33,7 +33,7 @@ def cyclotomic_polynomial(d: int) -> Tuple[int, ...]:
     return tuple(poly)
 
 
-def _divmod_monic(num: List[int], mod: Tuple[int, ...]):
+def _divmod_monic(num: list[int], mod: tuple[int, ...]):
     """Quotient and remainder (length deg mod) of integer polynomials,
     `mod` monic."""
     n = len(mod) - 1
@@ -74,7 +74,7 @@ def _field(order: int) -> _Field:
     return _Field(order)
 
 
-def _mul_reduce(a, b, field: _Field) -> List[int]:
+def _mul_reduce(a, b, field: _Field) -> list[int]:
     """The integer polynomial a * b reduced modulo Phi."""
     n = field.n
     prod = [0] * (2 * n - 1)

@@ -20,79 +20,87 @@ O(entries * log K) sigma terms, whatever d is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Mapping, Tuple
 
-from .combinatorics import Kind, sigma
+from .combinatorics import sigma
 
 NO_GUARANTEE = -1  # sentinel order: not even globally generated
 
 
-@dataclass(frozen=True)
 class PositivityProfile:
     """Map q -> (jet_order, very_order) of the twist L-qM.
 
     Orders are best-known lower bounds with -1 meaning "no guarantee",
     0 global generation, 1 very ampleness, and so on.  Missing q reads
     as (-1, -1).  An order-k guarantee implies all lower orders.  The
-    entries are checked, then kept as a read-only copy, and profiles hash
-    by value.
+    entries are checked, then kept as a private copy that ``entries``
+    shows read-only; profiles are immutable and hash by value.
     """
 
-    entries: Mapping[int, Tuple[int, int]]
+    __slots__ = ("entries", "_orders")
 
-    def __post_init__(self):
-        for q, (j, v) in self.entries.items():
+    def __init__(self, entries):
+        orders = dict(entries)
+        for q, (j, v) in orders.items():
             if q < 0:
                 raise ValueError(f"twist index q must be >= 0, got {q}")
             if j < NO_GUARANTEE or v < NO_GUARANTEE:
                 raise ValueError(f"orders must be >= -1, got {(j, v)} at q={q}")
-        # A read-only copy, so the checked entries stay checked.
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        # Lookups read the plain dict; the proxy keeps it checked.
+        object.__setattr__(self, "_orders", orders)
+        object.__setattr__(self, "entries", MappingProxyType(orders))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._orders == other._orders
 
     def __hash__(self):
-        return hash(frozenset(self.entries.items()))
+        return hash(frozenset(self._orders.items()))
+
+    def __repr__(self):
+        return f"PositivityProfile(entries={self._orders!r})"
 
     def jet_order(self, q: int) -> int:
-        return self.entries.get(q, (NO_GUARANTEE, NO_GUARANTEE))[0]
+        return self._orders.get(q, (NO_GUARANTEE, NO_GUARANTEE))[0]
 
     def effective_very_order(self, q: int) -> int:
         """Best very-ampleness order, folding in jet => very."""
-        j, v = self.entries.get(q, (NO_GUARANTEE, NO_GUARANTEE))
+        j, v = self._orders.get(q, (NO_GUARANTEE, NO_GUARANTEE))
         return max(j, v)
 
 
-@dataclass(frozen=True)
-class CoveringScenario:
-    d: int
-    branched: bool
-    profile: PositivityProfile
-    label: str = ""
+class CoveringScenario(namedtuple("CoveringScenario", "d branched profile label")):
+    """A degree-d covering with the positivity profile of its twists; the
+    label is carried for reporting only."""
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"covering degree d must be >= 2, got {self.d}")
+    __slots__ = ()
+
+    def __new__(cls, d: int, branched: bool, profile: PositivityProfile,
+                label: str = ""):
+        if d < 2:
+            raise ValueError(f"covering degree d must be >= 2, got {d}")
+        return super().__new__(cls, d, branched, profile, label)
 
 
-@dataclass(frozen=True)
-class QCheck:
+class QCheck(namedtuple("QCheck", "q required available satisfied")):
     """One q-indexed requirement: is the available order enough?"""
-    q: int
-    required: int
-    available: int
-    satisfied: bool
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
-    kind: Kind
-    k_star: int  # maximal guaranteed order, -1 if even k=0 fails
+class CriterionVerdict(namedtuple("CriterionVerdict", "kind k_star")):
+    """The largest guaranteed order k_star of a criterion ("jet" or
+    "very"), -1 if even k = 0 fails; the guaranteed orders are 0..k_star."""
 
-    @property
-    def feasible(self) -> Tuple[int, ...]:
-        """Every guaranteed order: the feasible set is 0..k_star."""
-        return tuple(range(self.k_star + 1))
+    __slots__ = ()
 
     def to_record(self) -> dict:
         """The guaranteed orders are 0..k_star, so k_star stands for them
@@ -100,7 +108,7 @@ class CriterionVerdict:
         return {"kind": self.kind, "k_star": self.k_star}
 
 
-def explain_requirement(kind: Kind, k: int, scenario: CoveringScenario) -> Tuple[QCheck, ...]:
+def explain_requirement(kind: str, k: int, scenario: CoveringScenario) -> tuple[QCheck, ...]:
     """Per-q (required, available) pairs for guaranteeing order k, as the
     criteria command prints them; the decision itself does not use them."""
     if k < 0:
@@ -129,7 +137,7 @@ def max_guaranteed_very_order(scenario: CoveringScenario) -> CriterionVerdict:
     return _min_threshold(scenario, "very")
 
 
-def _min_threshold(scenario: CoveringScenario, kind: Kind) -> CriterionVerdict:
+def _min_threshold(scenario: CoveringScenario, kind: str) -> CriterionVerdict:
     """k* = min_q T_q; best is the minimum so far, from T_0 = have(0).
 
     A jet twist allows k <= have(q) + q.  A very twist's T_q is bisected

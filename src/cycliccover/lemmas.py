@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from collections import namedtuple
 
 from .combinatorics import tau
 from .errors import ResourceBudgetError
@@ -44,7 +43,7 @@ DEFAULT_TUPLE_BUDGET = 10**7
 NUM_TABLE_CAP = 10**5
 
 
-def enumerate_staircases(colength: int) -> List[Tuple[int, ...]]:
+def enumerate_staircases(colength: int) -> list[tuple[int, ...]]:
     """All staircases of the given colength, as column heights: the
     partitions of colength in descending lexicographic order, p(colength)
     of them."""
@@ -57,7 +56,8 @@ def enumerate_staircases(colength: int) -> List[Tuple[int, ...]]:
     return list(_partitions(colength, colength))
 
 
-def intersection_colength(staircases: Sequence[Tuple[int, ...]]) -> int:
+def intersection_colength(
+        staircases: list[tuple[int, ...]] | tuple[tuple[int, ...], ...]) -> int:
     """Colength of the intersection ideal: its staircase is the union, whose
     columns are the tallest of each position, so the sum of the column-wise
     maxima of the heights."""
@@ -66,17 +66,17 @@ def intersection_colength(staircases: Sequence[Tuple[int, ...]]) -> int:
     return sum(map(max, itertools.zip_longest(*staircases, fillvalue=0)))
 
 
-@dataclass
-class LemmaReport:
-    """Outcome of one exhaustive lemma run over a parameter box."""
+class LemmaReport(namedtuple(
+        "LemmaReport", "lemma_id parameter_box instances_checked max_slack "
+        "counterexamples notes partial", defaults=((), (), False))):
+    """Outcome of one exhaustive lemma run over a parameter box.
 
-    lemma_id: str  # 'alg' | 'num'
-    parameter_box: Dict[str, int]
-    instances_checked: int
-    max_slack: int | None  # min over instances of (bound - observed)
-    counterexamples: List[dict] = field(default_factory=list)
-    notes: Tuple[str, ...] = ()
-    partial: bool = False  # the search stopped at its budget
+    lemma_id is "alg" or "num"; max_slack is the minimum over instances of
+    (bound - observed), None before any instance; partial says the search
+    stopped at its budget.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -135,9 +135,9 @@ def check_lemma_alg(
     bound = tau(k, ell)
     checked = 0
     min_slack: int | None = None
-    counterexamples: List[dict] = []
+    counterexamples: list[dict] = []
 
-    shapes: Dict[int, List[Tuple[int, ...]]] = {}  # by colength, built once
+    shapes: dict[int, list[tuple[int, ...]]] = {}  # by colength, built once
     for excess in _partitions(k - ell, ell):
         # descending, so the first slot has maximal colength: hypothesis holds.
         big = [h + 1 for h in excess] or [1]
@@ -239,7 +239,7 @@ def check_lemma_num(
     rhs_tau = {l: [0] + [tau(K, l) for K in range(1, K_top + 1)]
                for l in range(2, top_ell + 1)}
     # tables[n] = _tails(K_reach, n), for the tail lengths that fit the cap.
-    tables: List[list] = []
+    tables: list[list] = []
     parts = 0
     for n in range(max_m):
         parts += math.comb(K_reach + n - 1, n) * n
@@ -248,7 +248,7 @@ def check_lemma_num(
         tables.append(list(_tails(K_reach, n)))
     checked = 0
     min_slack: int | None = None
-    counterexamples: List[dict] = []
+    counterexamples: list[dict] = []
 
     for m in range(1, max_m + 1):
         for head in itertools.combinations_with_replacement(pairs, m):
@@ -315,7 +315,7 @@ def _tails(max_K: int, n: int):
                 range(1, max_K + 1), n))
 
 
-def _cells(heights: Tuple[int, ...]) -> List[Tuple[int, int]]:
+def _cells(heights: tuple[int, ...]) -> list[tuple[int, int]]:
     """The sorted cells (i, j) of a staircase: column i holds j < heights[i]."""
     return [(i, j) for i, h in enumerate(heights) for j in range(h)]
 

@@ -21,9 +21,9 @@ it says nothing about positivity of actual bundles on actual varieties.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Sequence, Tuple
 
 from .cyclotomic import CyclotomicNumber
 from .errors import ResourceBudgetError, SingularSystemError
@@ -32,23 +32,22 @@ from .series import TruncatedSeries, collect_terms
 TRUNCATION_CAP = 12
 
 
-@dataclass(frozen=True)
-class SectionDecomposition:
+class SectionDecomposition(namedtuple("SectionDecomposition", "d components")):
     """s = sum_{q<d} t^q * components[q], components over base coordinates."""
 
-    d: int
-    components: Tuple[TruncatedSeries, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"degree must be >= 1, got {self.d}")
-        if len(self.components) != self.d:
+    def __new__(cls, d: int, components: tuple[TruncatedSeries, ...]):
+        if d < 1:
+            raise ValueError(f"degree must be >= 1, got {d}")
+        if len(components) != d:
             raise ValueError(
-                f"need exactly d={self.d} components, got {len(self.components)}")
-        vars0 = self.components[0].variables
-        for c in self.components[1:]:
+                f"need exactly d={d} components, got {len(components)}")
+        vars0 = components[0].variables
+        for c in components[1:]:
             if c.variables != vars0:
                 raise ValueError("components must share variables")
+        return super().__new__(cls, d, components)
 
 
 def evaluate_at_orbit_point(decomposition: SectionDecomposition,
@@ -98,7 +97,7 @@ def multiply_decompositions(a: SectionDecomposition,
 
 
 def vandermonde_solve(d: int, betas: Sequence[int],
-                      rhs_index: int = 0) -> Tuple[CyclotomicNumber, ...]:
+                      rhs_index: int = 0) -> tuple[CyclotomicNumber, ...]:
     """Solve the separation system for one regular fiber.
 
     The nodes are 0, betas[0], ..., betas[-1] (l of them, distinct mod d);
@@ -117,7 +116,7 @@ def vandermonde_solve(d: int, betas: Sequence[int],
 
 def vandermonde_residual(d: int, betas: Sequence[int],
                          alphas: Sequence[CyclotomicNumber],
-                         rhs_index: int = 0) -> Tuple[CyclotomicNumber, ...]:
+                         rhs_index: int = 0) -> tuple[CyclotomicNumber, ...]:
     """Exact residuals (lhs - rhs) of the solved system, row by row."""
     nodes = [0] + [b % d for b in betas]
     out = []
@@ -130,7 +129,7 @@ def vandermonde_residual(d: int, betas: Sequence[int],
     return tuple(out)
 
 
-def _check_fiber(d: int, nodes: List[int]) -> None:
+def _check_fiber(d: int, nodes: list[int]) -> None:
     """At most d orbit indices (residues mod d), all distinct: then the
     roots zeta^node differ and the Vandermonde system is invertible."""
     if len(nodes) > d:
@@ -140,7 +139,7 @@ def _check_fiber(d: int, nodes: List[int]) -> None:
             f"orbit indices {nodes} not distinct mod {d}")
 
 
-def _lagrange(d: int, nodes: Sequence[int], r: int) -> List[CyclotomicNumber]:
+def _lagrange(d: int, nodes: Sequence[int], r: int) -> list[CyclotomicNumber]:
     """Coefficients, constant first, of prod_{j != r} (x - x_j) / (x_r - x_j)
     with x_j = zeta^nodes[j]: column r of the inverse Vandermonde matrix.
     The nodes must pass _check_fiber."""
@@ -192,7 +191,7 @@ def case2_construct(d: int, betas: Sequence[int],
 # -- ramification point ------------------------------------------------------
 
 
-def base_coordinates(variables: Sequence[str]) -> Tuple[str, ...]:
+def base_coordinates(variables: Sequence[str]) -> tuple[str, ...]:
     """Coordinate names downstairs: the ramification coordinate u maps to
     u^d = v; remaining coordinates are shared."""
     first = variables[0]
@@ -200,7 +199,7 @@ def base_coordinates(variables: Sequence[str]) -> Tuple[str, ...]:
     return (mapped,) + tuple(variables[1:])
 
 
-def decompose_jet_ramified(jet: TruncatedSeries, d: int) -> List[TruncatedSeries]:
+def decompose_jet_ramified(jet: TruncatedSeries, d: int) -> list[TruncatedSeries]:
     """Split a jet at a ramification point by the residue of the exponent
     of the ramification coordinate mod d.
 
@@ -211,7 +210,7 @@ def decompose_jet_ramified(jet: TruncatedSeries, d: int) -> List[TruncatedSeries
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     down = base_coordinates(jet.variables)
-    buckets: List[list] = [[] for _ in range(d)]
+    buckets: list[list] = [[] for _ in range(d)]
     for exps, coeff in jet.terms.items():
         q = exps[0] % d
         buckets[q].append((((exps[0] - q) // d,) + exps[1:], coeff))
@@ -227,41 +226,32 @@ def reassemble_ramified(components: Sequence[TruncatedSeries], d: int,
         for exps, coeff in comp.terms.items()))
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(namedtuple("Obstruction", "q needed_order available_order")):
     """A twist whose guaranteed order cannot carry its jet component."""
-    q: int
-    needed_order: int
-    available_order: int
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RamifiedConstruction:
+class RamifiedConstruction(namedtuple("RamifiedConstruction",
+                                      "d order jet components")):
     """Outcome of prescribing a jet mod m^order at a ramification point.
 
     components[q] is the base-coordinate jet the twist L-qM must realize,
-    prescribed mod m^(order - q); prescription_depths records those depths.
+    prescribed mod m^(order - q).
     """
 
-    d: int
-    order: int
-    jet: TruncatedSeries
-    components: Tuple[TruncatedSeries, ...]
+    __slots__ = ()
 
     @property
-    def component_orders(self) -> Tuple[int, ...]:
+    def component_orders(self) -> tuple[int, ...]:
         """Max base-coordinate degree of each component (-1 if zero)."""
         return tuple(c.total_degree() for c in self.components)
-
-    @property
-    def prescription_depths(self) -> Tuple[int, ...]:
-        return tuple(self.order - q for q in range(self.d))
 
     def reassembled(self) -> TruncatedSeries:
         return reassemble_ramified(self.components, self.d,
                                    self.jet.variables, self.order)
 
-    def obstructions(self, twist_orders: Sequence[int]) -> List[Obstruction]:
+    def obstructions(self, twist_orders: Sequence[int]) -> list[Obstruction]:
         """Components whose degree exceeds the order available in the twist.
 
         twist_orders[q] is the guaranteed jet order of L-qM (-1 when the

@@ -11,12 +11,12 @@ collect_terms, sums the terms of +, * and the ramified reassembly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
 from operator import add
-from typing import Dict, Iterable, Mapping, Tuple
 
-Exponents = Tuple[int, ...]
+Exponents = tuple[int, ...]
 
 
 def _make(variables, bound: int, terms) -> "TruncatedSeries":
@@ -28,12 +28,12 @@ def _make(variables, bound: int, terms) -> "TruncatedSeries":
     return series
 
 
-def collect_terms(variables: Tuple[str, ...], bound: int,
-                  pairs: Iterable[Tuple[Exponents, object]]) -> "TruncatedSeries":
+def collect_terms(variables: tuple[str, ...], bound: int,
+                  pairs: Iterable[tuple[Exponents, object]]) -> "TruncatedSeries":
     """Sum (exponents, coefficient) pairs mod m^bound: equal exponents add up
     from their first coefficient; degrees >= bound and zero sums drop out.
     Unchecked: exponents must fit the variables, none negative, bound >= 0."""
-    out: Dict[Exponents, object] = {}
+    out: dict[Exponents, object] = {}
     for exps, c in pairs:
         if sum(exps) < bound:
             prev = out.get(exps)
@@ -49,7 +49,7 @@ class TruncatedSeries:
         variables = tuple(variables)
         if bound < 0:
             raise ValueError(f"truncation bound must be >= 0, got {bound}")
-        clean: Dict[Exponents, object] = {}
+        clean: dict[Exponents, object] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != len(variables):

@@ -2,10 +2,13 @@
 loads only the layers it runs.
 
 Each footprint is read in a fresh interpreter, since this test process has
-every layer loaded already.  Only ``cycliccover.*`` modules are compared;
-which standard-library modules load varies with the environment.
+every layer loaded already.  Which standard-library modules load varies
+with the environment (a site-packages ``.pth`` file may preload
+``typing``), so the only ones pinned are ``json``, ``dataclasses``,
+``inspect`` and ``typing``, and only beyond what ``python -c pass`` holds.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -21,10 +24,9 @@ LAYERS = ("combinatorics", "lemmas", "engine", "catalog", "cyclotomic",
           "series", "localmodel", "cli")
 
 
-def loaded_after(code: str, cwd=None) -> set:
-    """The ``cycliccover.*`` modules a fresh interpreter holds after ``code``."""
-    script = (code + "\nimport sys\nprint(__import__('json').dumps(sorted("
-              "m for m in sys.modules if m.startswith('cycliccover.'))))\n")
+def modules_after(code: str, cwd=None) -> set:
+    """Every module a fresh interpreter holds after ``code``."""
+    script = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -32,17 +34,31 @@ def loaded_after(code: str, cwd=None) -> set:
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@functools.cache
+def bare_modules() -> frozenset:
+    return frozenset(modules_after("pass"))
+
+
+def loaded_after(code: str, cwd=None) -> set:
+    """The ``cycliccover.*`` modules a fresh interpreter holds after ``code``."""
+    return {m for m in modules_after(code, cwd) if m.startswith("cycliccover.")}
+
+
+def command_code(*argv) -> str:
+    """One in-process ``cli.main`` call; it must exit 0."""
+    return ("import contextlib, io\n"
+            "import cycliccover.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cycliccover.cli.main({list(argv)!r})\n"
+            "assert code == 0, code\n")
 
 
 def after_command(*argv, cwd=None) -> set:
-    """Modules loaded after one in-process ``cli.main`` call; it must exit 0."""
-    return loaded_after(
-        "import contextlib, io\n"
-        "import cycliccover.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cycliccover.cli.main({list(argv)!r})\n"
-        "assert code == 0, code\n", cwd=cwd)
+    """Layer modules loaded after one in-process ``cli.main`` call."""
+    return loaded_after(command_code(*argv), cwd=cwd)
 
 
 def layer_modules(*names) -> set:
@@ -59,6 +75,35 @@ def test_import_cli_and_build_parser_load_no_layer():
     assert loaded == layer_modules("cli", "errors")
 
 
+def test_import_cli_and_build_parser_load_no_json():
+    added = modules_after("import cycliccover.cli\n"
+                          "cycliccover.cli.build_parser()") - bare_modules()
+    assert "json" not in added
+
+
+CONFIG = {"schema": 1, "d": 3, "profile": {"0": {"jet": 4}, "1": {"very": 2}}}
+# argv, and whether the command loads json
+COMMANDS = {
+    "sigma-table": (("sigma-table", "--d", "5", "--kmax", "6"), False),
+    "criteria": (("criteria", "--config", "c.json"), True),
+    "verify-lemma num": (("verify-lemma", "num", "--max-m", "2", "--max-K",
+                          "4", "--max-ell", "3", "--max-q", "2"), False),
+    "verify-lemma alg": (("verify-lemma", "alg", "--k", "6", "--ell", "3"),
+                         False),
+    "examples": (("examples",), False),
+    "local-model": (("local-model", "--d", "3", "--trials", "2"), True),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_no_dataclasses_inspect_or_typing(command, tmp_path):
+    (tmp_path / "c.json").write_text(json.dumps(CONFIG))
+    argv, loads_json = COMMANDS[command]
+    added = modules_after(command_code(*argv), cwd=tmp_path) - bare_modules()
+    assert not added & {"dataclasses", "inspect", "typing"}
+    assert ("json" in added) == loads_json
+
+
 def test_sigma_table_loads_only_combinatorics():
     loaded = after_command("sigma-table", "--d", "5", "--kmax", "6")
     assert loaded == layer_modules("cli", "errors", "combinatorics")
@@ -66,8 +111,7 @@ def test_sigma_table_loads_only_combinatorics():
 
 def test_criteria_loads_no_lemma_catalog_or_local_layer(tmp_path):
     config = tmp_path / "c.json"
-    config.write_text(json.dumps(
-        {"schema": 1, "d": 3, "profile": {"0": {"jet": 4}, "1": {"very": 2}}}))
+    config.write_text(json.dumps(CONFIG))
     loaded = after_command("criteria", "--config", str(config))
     assert "cycliccover.engine" in loaded
     assert not loaded & layer_modules(

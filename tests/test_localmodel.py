@@ -267,9 +267,3 @@ def test_case3_validation():
         case3_construct(2, jet, 3)  # degree-3 term is no jet mod m^3
     with pytest.raises(ResourceBudgetError):
         case3_construct(2, rational_series(2, {(0, 0): 1}), 13)
-
-
-def test_case3_prescription_depths():
-    jet = rational_series(4, {(1, 0): 1})
-    built = case3_construct(3, jet, 4)
-    assert built.prescription_depths == (4, 3, 2)
