@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-Rational = int | Fraction
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
@@ -117,7 +115,7 @@ class CyclotomicNumber:
 
     __slots__ = ("order", "den", "nums")
 
-    def __init__(self, order: int, coeffs: Iterable[Rational]):
+    def __init__(self, order: int, coeffs: Iterable[int | Fraction]):
         phi = cyclotomic_polynomial(order)
         fracs = [Fraction(c) for c in coeffs]
         den = lcm(*(f.denominator for f in fracs))
@@ -139,10 +137,6 @@ class CyclotomicNumber:
         return cls(order, [1])
 
     @classmethod
-    def from_rational(cls, order: int, value: Rational) -> "CyclotomicNumber":
-        return cls(order, [value])
-
-    @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_d^power, any integer power."""
         return _make(order, 1, _field(order).powers[power % order])
@@ -154,11 +148,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -149,8 +149,8 @@ def check_lemma_alg(
         pad = ell - len(big)  # the colength-1 slots after big
         if checked + n_first * math.prod(map(len, shape_lists)) > budget:
             raise ResourceBudgetError(
-                f"tuple budget {budget} exceeded at colengths "
-                f"{tuple(big) + (1,) * pad}",
+                f"tuple budget {budget} exceeded at colengths {tuple(big)} "
+                f"plus {pad} slots of colength 1",
                 partial_report=LemmaReport(
                     lemma_id="alg",
                     parameter_box={"k": k, "ell": ell},

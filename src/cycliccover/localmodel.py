@@ -61,71 +61,30 @@ def evaluate_at_orbit_point(decomposition: SectionDecomposition,
         for exps, coeff in comp.terms.items()))
 
 
-def apply_deck(decomposition: SectionDecomposition) -> SectionDecomposition:
-    """The deck transformation scales the q-th summand by zeta_d^q."""
-    d = decomposition.d
-    return SectionDecomposition(d, tuple(
-        comp.scale(CyclotomicNumber.root_of_unity(d, q))
-        for q, comp in enumerate(decomposition.components)))
-
-
-def add_decompositions(a: SectionDecomposition,
-                       b: SectionDecomposition) -> SectionDecomposition:
-    if a.d != b.d:
-        raise ValueError("degree mismatch")
-    return SectionDecomposition(a.d, tuple(
-        x + y for x, y in zip(a.components, b.components)))
-
-
-def multiply_decompositions(a: SectionDecomposition,
-                            b: SectionDecomposition) -> SectionDecomposition:
-    """Product with the unbranched convention t^d = 1 (indices wrap mod d)."""
-    if a.d != b.d:
-        raise ValueError("degree mismatch")
-    d = a.d
-    bound = min(c.bound for c in a.components + b.components)
-    # adding into zeros of the least bound truncates every product
-    out = [TruncatedSeries.zero(a.components[0].variables, bound)
-           for _ in range(d)]
-    for q, cq in enumerate(a.components):
-        for p, cp in enumerate(b.components):
-            out[(q + p) % d] = out[(q + p) % d] + cq * cp
-    return SectionDecomposition(d, tuple(out))
-
-
 # -- fiber separation (regular orbit) --------------------------------------
 
 
-def vandermonde_solve(d: int, betas: Sequence[int],
-                      rhs_index: int = 0) -> tuple[CyclotomicNumber, ...]:
-    """Solve the separation system for one regular fiber.
-
-    The nodes are 0, betas[0], ..., betas[-1] (l of them, distinct mod d);
-    row j demands sum_c zeta^(c*node_j) * alpha_c = delta(j, rhs_index).
-    So (alpha_0, ..., alpha_{l-1}) are the coefficients of the Lagrange
-    polynomial of node rhs_index; substituting back reproduces the
-    right-hand side with zero residual.
-    """
+def vandermonde_solve(d: int, betas: Sequence[int]) -> tuple[CyclotomicNumber, ...]:
+    """Solve the separation system for one regular fiber: at the nodes 0,
+    betas[0], ..., betas[-1] (distinct mod d), row j demands
+    sum_c zeta^(c*node_j) * alpha_c = delta(j, 0).  The alphas are the
+    coefficients of the Lagrange polynomial of node 0."""
     nodes = [0] + [b % d for b in betas]
-    if not 0 <= rhs_index < len(nodes):
-        raise ValueError(
-            f"rhs index {rhs_index} out of range 0..{len(nodes) - 1}")
     _check_fiber(d, nodes)
-    return tuple(_lagrange(d, nodes, rhs_index))
+    return tuple(_lagrange(d, nodes, 0))
 
 
-def vandermonde_residual(d: int, betas: Sequence[int],
-                         alphas: Sequence[CyclotomicNumber],
-                         rhs_index: int = 0) -> tuple[CyclotomicNumber, ...]:
-    """Exact residuals (lhs - rhs) of the solved system, row by row."""
+def vandermonde_residual(
+        d: int, betas: Sequence[int],
+        alphas: Sequence[CyclotomicNumber]) -> tuple[CyclotomicNumber, ...]:
+    """Exact residuals (lhs - delta(j, 0)) of the solved system, row by row."""
     nodes = [0] + [b % d for b in betas]
     out = []
     for j, node in enumerate(nodes):
         acc = CyclotomicNumber.zero(d)
         for c, alpha in enumerate(alphas):
             acc = acc + CyclotomicNumber.root_of_unity(d, c * node) * alpha
-        target = 1 if j == rhs_index else 0
-        out.append(acc - target)
+        out.append(acc - (1 if j == 0 else 0))
     return tuple(out)
 
 

@@ -12,7 +12,6 @@ collect_terms, sums the terms of +, * and the ramified reassembly.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from itertools import chain
 from operator import add
 
@@ -75,11 +74,6 @@ class TruncatedSeries:
     def zero(cls, variables: Iterable[str], bound: int) -> "TruncatedSeries":
         return _make(tuple(variables), bound, {})
 
-    @classmethod
-    def monomial(cls, variables: Iterable[str], bound: int,
-                 exponents: Exponents, coeff=Fraction(1)) -> "TruncatedSeries":
-        return cls(variables, bound, {tuple(exponents): coeff})
-
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -88,9 +82,6 @@ class TruncatedSeries:
     def total_degree(self) -> int:
         """Max total degree of a stored term; -1 for the zero series."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def coefficient(self, exponents: Exponents):
-        return self.terms.get(tuple(exponents), 0)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -496,6 +496,25 @@ def test_verify_lemma_alg_small_excess_at_huge_ell():
         "evidence for the local-ring statement, not a proof\n")
 
 
+def test_verify_lemma_alg_budget_message_at_huge_ell_is_short():
+    # The message lists the slots of colength >= 2 and counts the rest,
+    # so its size does not grow with ell.
+    proc = cli_under_memory_limit(
+        "verify-lemma", "alg", "--k", "10000010", "--ell", "10000000",
+        "--budget", "0")
+    assert (proc.returncode, proc.stderr) == (
+        3, "budget exhausted: tuple budget 0 exceeded at colengths (11,) "
+        "plus 9999999 slots of colength 1\n")
+    assert len(proc.stderr) < 200
+    assert proc.stdout == (
+        "lemma alg: PARTIAL\n"
+        "box ell=10000000 k=10000010\n"
+        "instances checked: 0\n"
+        "min slack (bound - observed): None\n"
+        "note: partial: budget exhausted\n")
+    assert len(proc.stdout) == 135
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--d", "1", "--trials", "2"],
      "error: --trials 2 needs --d >= 2: a case-2 trial draws its degree "

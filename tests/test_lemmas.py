@@ -184,8 +184,10 @@ def reference_lemma_alg(k, ell, budget=DEFAULT_TUPLE_BUDGET) -> LemmaReport:
         for lst in shape_lists[1:]:
             combos *= len(lst)
         if checked + combos > budget:
+            listed = tuple(c for c in colengths if c > 1) or colengths[:1]
             raise ResourceBudgetError(
-                f"tuple budget {budget} exceeded at colengths {colengths}",
+                f"tuple budget {budget} exceeded at colengths {listed} "
+                f"plus {ell - len(listed)} slots of colength 1",
                 partial_report=LemmaReport(
                     lemma_id="alg",
                     parameter_box={"k": k, "ell": ell},

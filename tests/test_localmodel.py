@@ -8,13 +8,11 @@ from cycliccover.cyclotomic import CyclotomicNumber
 from cycliccover.errors import ResourceBudgetError, SingularSystemError
 from cycliccover.localmodel import (
     SectionDecomposition,
-    add_decompositions,
-    apply_deck,
+    _lagrange,
     case2_construct,
     case3_construct,
     decompose_jet_ramified,
     evaluate_at_orbit_point,
-    multiply_decompositions,
     reassemble_ramified,
     run_case2_trial,
     vandermonde_residual,
@@ -29,6 +27,38 @@ def rational_series(bound, terms):
     return TruncatedSeries(U, bound, {e: Fraction(c) for e, c in terms.items()})
 
 
+def apply_deck(decomposition):
+    """The deck transformation scales the q-th summand by zeta_d^q."""
+    d = decomposition.d
+    return SectionDecomposition(d, tuple(
+        comp.scale(CyclotomicNumber.root_of_unity(d, q))
+        for q, comp in enumerate(decomposition.components)))
+
+
+def add_decompositions(a, b):
+    return SectionDecomposition(a.d, tuple(
+        x + y for x, y in zip(a.components, b.components)))
+
+
+def multiply_decompositions(a, b):
+    """Product with the unbranched convention t^d = 1 (indices wrap mod d)."""
+    d = a.d
+    bound = min(c.bound for c in a.components + b.components)
+    # adding into zeros of the least bound truncates every product
+    out = [TruncatedSeries.zero(U, bound) for _ in range(d)]
+    for q, cq in enumerate(a.components):
+        for p, cp in enumerate(b.components):
+            out[(q + p) % d] = out[(q + p) % d] + cq * cp
+    return SectionDecomposition(d, tuple(out))
+
+
+def lagrange_residual(d, nodes, r, alphas):
+    """Row j of the Vandermonde system at the nodes, minus delta(j, r)."""
+    return [sum((CyclotomicNumber.root_of_unity(d, c * node) * alpha
+                 for c, alpha in enumerate(alphas)), CyclotomicNumber.zero(d))
+            - (1 if j == r else 0) for j, node in enumerate(nodes)]
+
+
 # -- Vandermonde separation ----------------------------------------------------
 
 
@@ -38,7 +68,7 @@ def test_vandermonde_single_point():
 
 def test_vandermonde_degree_two():
     alphas = vandermonde_solve(2, [1])
-    assert alphas == (CyclotomicNumber.from_rational(2, Fraction(1, 2)),) * 2
+    assert alphas == (CyclotomicNumber(2, [Fraction(1, 2)]),) * 2
 
 
 def test_vandermonde_full_fiber_is_dft():
@@ -48,19 +78,20 @@ def test_vandermonde_full_fiber_is_dft():
         alphas = vandermonde_solve(d, betas)
         for r in vandermonde_residual(d, betas, alphas):
             assert r.is_zero()
-        expected = CyclotomicNumber.from_rational(d, Fraction(1, d))
+        expected = CyclotomicNumber(d, [Fraction(1, d)])
         assert alphas[0] == expected
 
 
 def test_vandermonde_other_rhs_indices():
-    # Every Lagrange column, not only column 0: 1,024 solves for d <= 8.
+    # Every Lagrange column, not only the column 0 that vandermonde_solve
+    # returns: 1,024 solves for d <= 8.
     for d in range(1, 9):
         for size in range(0, d):
             for betas in itertools.combinations(range(1, d), size):
+                nodes = [0, *betas]
                 for rhs in range(size + 1):
-                    alphas = vandermonde_solve(d, list(betas), rhs_index=rhs)
-                    for r in vandermonde_residual(d, list(betas), alphas,
-                                                  rhs_index=rhs):
+                    alphas = _lagrange(d, nodes, rhs)
+                    for r in lagrange_residual(d, nodes, rhs, alphas):
                         assert r.is_zero()
 
 

@@ -75,12 +75,6 @@ def test_variable_mismatch():
         a + b
 
 
-def test_monomial_constructor():
-    m = TruncatedSeries.monomial(U, 4, (1, 2), Fraction(5))
-    assert m.coefficient((1, 2)) == 5
-    assert m.coefficient((0, 0)) == 0
-
-
 def test_ring_identities_small():
     a = s(4, {(1, 0): 1, (0, 1): 2})
     b = s(4, {(2, 0): 1, (0, 0): Fraction(1, 3)})
