@@ -7,24 +7,25 @@ its stderr line and exit code, and prints the partial report a budget cut
 carries.  sigma-table prints the rows of combinatorics.sigma_table, blank
 where k < q.  All output is byte-deterministic for fixed arguments; the
 structured-records format emits one JSON object per line.
-The environment variable CYCLICCOVER_BUDGET overrides the default search
-budget for the lemma commands.
 
 Importing this module and building the parser load no layer module and
-not json.  Each command binds the names it runs, from its layers and from
-json, on its first call in a process (the _import_* functions), so
-sigma-table loads only combinatorics, criteria engine and combinatorics,
-and verify-lemma lemmas and combinatorics.  json is loaded by criteria and
-local-model, and by the other commands only for --format
-structured-records.  No command loads dataclasses.
+not json.  Commands reach their layers through the package's lazy exports
+(``_pkg.lemmas``, ``_pkg.engine``, ...), so the package's PEP 562
+``__getattr__`` is the one loader: it imports a layer on a command's first
+use, and later uses read a plain module attribute.  So sigma-table loads
+only combinatorics, criteria engine and combinatorics, and verify-lemma
+lemmas and combinatorics.  json is imported inside the functions that use
+it: by criteria and local-model, and by the other commands only for
+--format structured-records.  No command loads dataclasses.
 """
 
 import argparse
 import functools
-import os
 import sys
 
 from .errors import ResourceBudgetError
+
+_pkg = sys.modules[__package__]
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -43,32 +44,15 @@ class ConfigError(ValueError):
     pass
 
 
-# Each _import_* function binds module globals once per process, on the
-# first call of a command that needs them; later calls return at once.
-
-
-@functools.cache
-def _import_json() -> None:
-    global json
-    import json
-
-
 # -- sigma-table -------------------------------------------------------------
-
-
-@functools.cache
-def _import_sigma_table() -> None:
-    global sigma_table
-    from .combinatorics import sigma_table
 
 
 def render_sigma_table(d: int, kmax: int, fmt: str) -> str:
     """The sigma table of degree d up to order kmax in format fmt; row q's
     cells for k < q are blank, and structured records skip them."""
-    _import_sigma_table()
-    rows = sigma_table(d, kmax)
+    rows = _pkg.combinatorics.sigma_table(d, kmax)
     if fmt == "structured-records":
-        _import_json()
+        import json
         return "\n".join(
             json.dumps({"d": d, "q": q, "k": k, "sigma": value}, sort_keys=True)
             for q, row in rows.items() for k, value in enumerate(row, q))
@@ -113,33 +97,20 @@ def _cmd_sigma_table(args) -> int:
 # -- verify-lemma --------------------------------------------------------------
 
 
-@functools.cache
-def _import_lemmas() -> None:
-    global DEFAULT_TUPLE_BUDGET, check_lemma_alg, check_lemma_num
-    from .lemmas import DEFAULT_TUPLE_BUDGET, check_lemma_alg, check_lemma_num
-
-
 def _budget(args) -> int:
-    if args.budget is not None:
-        if args.budget < 0:
-            raise ValueError(f"--budget must be >= 0, got {args.budget}")
-        return args.budget
-    env = os.environ.get("CYCLICCOVER_BUDGET")
-    if env is None:
-        _import_lemmas()
-        return DEFAULT_TUPLE_BUDGET
-    if not (env.isascii() and env.isdigit()):
-        raise ValueError(
-            f"CYCLICCOVER_BUDGET must be a non-negative integer, got {env!r}")
-    return int(env)
+    if args.budget is None:
+        return _pkg.lemmas.DEFAULT_TUPLE_BUDGET
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
+    return args.budget
 
 
 def _cmd_verify_lemma(args) -> int:
-    _import_lemmas()
     if args.lemma == "alg":
-        report = check_lemma_alg(args.k, args.ell, budget=_budget(args))
+        report = _pkg.lemmas.check_lemma_alg(
+            args.k, args.ell, budget=_budget(args))
     else:
-        report = check_lemma_num(
+        report = _pkg.lemmas.check_lemma_num(
             args.max_m, args.max_K, args.max_ell, args.max_q,
             budget=_budget(args))
     _emit_report(report, args.format)
@@ -148,7 +119,7 @@ def _cmd_verify_lemma(args) -> int:
 
 def _emit_report(report, fmt: str) -> None:
     if fmt == "structured-records":
-        _import_json()
+        import json
         print(json.dumps(report.to_record(), sort_keys=True))
     else:
         print(report.to_text())
@@ -157,26 +128,13 @@ def _emit_report(report, fmt: str) -> None:
 # -- criteria ------------------------------------------------------------------
 
 
-@functools.cache
-def _import_engine() -> None:
-    global CoveringScenario, PositivityProfile, explain_requirement
-    global max_guaranteed_jet_order, max_guaranteed_very_order
-    from .engine import (
-        CoveringScenario,
-        PositivityProfile,
-        explain_requirement,
-        max_guaranteed_jet_order,
-        max_guaranteed_very_order,
-    )
-
-
-def load_scenario_config(path: str) -> "CoveringScenario":
-    """Strict JSON scenario config: unknown or duplicate keys, non-integers
-    and profile keys other than "0".."d-1" rejected.  A file that cannot
-    be read, decoded or parsed (bad UTF-8, bad JSON, an integer past the
-    interpreter's digit limit) is a ConfigError too."""
-    _import_json()
-    _import_engine()
+def load_scenario_config(path: str):
+    """The engine.CoveringScenario of a strict JSON scenario config:
+    unknown or duplicate keys, non-integers and profile keys other than
+    "0".."d-1" rejected.  A file that cannot be read, decoded or parsed
+    (bad UTF-8, bad JSON, an integer past the interpreter's digit limit)
+    is a ConfigError too."""
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
@@ -212,9 +170,9 @@ def load_scenario_config(path: str) -> "CoveringScenario":
             _require_int(val, "jet", default=-1),
             _require_int(val, "very", default=-1))
     try:
-        return CoveringScenario(
+        return _pkg.engine.CoveringScenario(
             d=d, branched=branched,
-            profile=PositivityProfile(entries), label=label)
+            profile=_pkg.engine.PositivityProfile(entries), label=label)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -252,10 +210,11 @@ def _require_int(obj: dict, key: str, default=None) -> int:
 def _cmd_criteria(args) -> int:
     scenario = load_scenario_config(args.config)
     verdicts = {
-        "jet": max_guaranteed_jet_order(scenario),
-        "very": max_guaranteed_very_order(scenario),
+        "jet": _pkg.engine.max_guaranteed_jet_order(scenario),
+        "very": _pkg.engine.max_guaranteed_very_order(scenario),
     }
     if args.format == "structured-records":
+        import json
         for kind, verdict in verdicts.items():
             print(json.dumps({"label": scenario.label, "d": scenario.d,
                               "branched": scenario.branched}
@@ -268,7 +227,7 @@ def _cmd_criteria(args) -> int:
         for k in (verdict.k_star, verdict.k_star + 1):
             if k < 0:
                 continue
-            checks = explain_requirement(kind, k, scenario)
+            checks = _pkg.engine.explain_requirement(kind, k, scenario)
             status = "ok" if all(c.satisfied for c in checks) else "fails"
             print(f"  k={k} ({status}): " + "  ".join(
                 f"q={c.q} need {c.required} have {c.available}"
@@ -279,25 +238,18 @@ def _cmd_criteria(args) -> int:
 # -- examples ---------------------------------------------------------------
 
 
-@functools.cache
-def _import_catalog() -> None:
-    global default_catalog, evaluate_entry
-    from .catalog import default_catalog, evaluate_entry
-
-
 def _cmd_examples(args) -> int:
-    _import_catalog()
-    entries = default_catalog()
+    entries = _pkg.catalog.default_catalog()
     if args.only is not None:
         entries = [e for e in entries if e.id == args.only]
         if not entries:
-            known = ", ".join(e.id for e in default_catalog())
+            known = ", ".join(e.id for e in _pkg.catalog.default_catalog())
             raise ValueError(f"unknown entry {args.only!r}; known: {known}")
     any_failure = False
     for entry in entries:
-        results = evaluate_entry(entry)
+        results = _pkg.catalog.evaluate_entry(entry)
         if args.format == "structured-records":
-            _import_json()
+            import json
             for res in results:
                 print(json.dumps({"entry": entry.id} | res.to_record(),
                                  sort_keys=True))
@@ -321,26 +273,11 @@ def _cmd_examples(args) -> int:
 # -- local-model ----------------------------------------------------------------
 
 
-@functools.cache
-def _import_local_model() -> None:
-    global random, Fraction, TruncatedSeries, TRUNCATION_CAP, case3_construct
-    global run_case2_trial, vandermonde_residual, vandermonde_solve
+def _cmd_local_model(args) -> int:
+    import json
     import random
     from fractions import Fraction
 
-    from .localmodel import (
-        TRUNCATION_CAP,
-        case3_construct,
-        run_case2_trial,
-        vandermonde_residual,
-        vandermonde_solve,
-    )
-    from .series import TruncatedSeries
-
-
-def _cmd_local_model(args) -> int:
-    _import_json()
-    _import_local_model()
     if args.d < 1:
         raise ValueError(f"--d must be >= 1, got {args.d}")
     if args.trials < 0:
@@ -350,17 +287,18 @@ def _cmd_local_model(args) -> int:
             f"--trials {args.trials} needs --d >= 2: a case-2 trial draws "
             f"its degree from 2..d")
     # The ramified check below works mod m^(d + 2); refuse before the sweep.
-    if args.d + 2 > TRUNCATION_CAP:
+    cap = _pkg.localmodel.TRUNCATION_CAP
+    if args.d + 2 > cap:
         raise ResourceBudgetError(
-            f"truncation bound {args.d + 2} exceeds cap {TRUNCATION_CAP}")
+            f"truncation bound {args.d + 2} exceeds cap {cap}")
     rng = random.Random(args.seed)
     any_failure = False
 
     # Vandermonde residual sweep for the requested degree.
     for l in range(1, args.d + 1):
         betas = list(range(1, l))
-        alphas = vandermonde_solve(args.d, betas)
-        residuals = vandermonde_residual(args.d, betas, alphas)
+        alphas = _pkg.localmodel.vandermonde_solve(args.d, betas)
+        residuals = _pkg.localmodel.vandermonde_residual(args.d, betas, alphas)
         ok = all(r.is_zero() for r in residuals)
         any_failure |= not ok
         print(json.dumps({
@@ -370,15 +308,15 @@ def _cmd_local_model(args) -> int:
 
     # Randomized fiber-separation trials.
     for _ in range(args.trials):
-        transcript = run_case2_trial(rng, max_d=args.d)
+        transcript = _pkg.localmodel.run_case2_trial(rng, max_d=args.d)
         any_failure |= not transcript["prescriptions_met"]
         print(json.dumps({"check": "case2"} | transcript, sort_keys=True))
 
     # Ramified splitting round trip on a sample jet.
     variables = ("u1", "u2")
-    jet = TruncatedSeries(variables, args.d + 2, {
+    jet = _pkg.series.TruncatedSeries(variables, args.d + 2, {
         (args.d - 1, 1): Fraction(1), (1, 0): Fraction(2)})
-    construction = case3_construct(args.d, jet, args.d + 2)
+    construction = _pkg.localmodel.case3_construct(args.d, jet, args.d + 2)
     ok = construction.reassembled() == construction.jet
     any_failure |= not ok
     obstructions = construction.obstructions(

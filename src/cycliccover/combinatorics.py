@@ -30,7 +30,8 @@ def gamma(k: int, ell: int) -> int:
 
 def tau(k: int, ell: int) -> int:
     """k - floor(k/ell) - ell + gamma(k, ell) + 1; may be <= 0 for large ell."""
-    _require_positive(k=k, ell=ell)
+    if k < 1 or ell < 1:
+        _require_positive(k=k, ell=ell)
     return k - k // ell - ell + (k % ell == 0) + 1
 
 

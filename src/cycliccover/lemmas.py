@@ -209,13 +209,14 @@ def check_lemma_num(
     instance-by-instance search would, only when that slack is negative
     (to list every failing q) or the step would cross the budget (so the
     cut, and the partial report, land on the same instance).  tau is
-    evaluated once per call for every head pair and every K <= max_m *
-    max_K, the tails of each length are listed once with their sums, and
-    witness dicts are built for counterexamples only, so a call costs
+    tabulated once per call for every l and every K <= max_m * max_K, the
+    tails of each length are listed once with their sums, and witness
+    dicts are built for counterexamples only, so a call costs
     O(#heads * #tails) integer steps rather than O(#instances) tau calls.
     Tables past NUM_TABLE_CAP are not built: those tau values and tails are
-    computed as the search reaches them.  Nothing the budget keeps the walk
-    from reaching is built, so a huge box at a small budget stays small.
+    computed as the search reaches them.  The head pairs are listed only
+    at m = 2, so nothing the budget keeps the walk from reaching is built,
+    and a huge box at a small budget stays small.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):
@@ -226,18 +227,14 @@ def check_lemma_num(
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
     # Each m = 1 head and each tail costs an instance, so the walk is cut
-    # before pair index budget + 1 and before any K_i above budget + 1.
+    # before pair index budget + 1 (l <= budget + 2) and any K_i > budget + 1.
     K_reach = min(max_K, budget + 1)
-    pairs = list(itertools.islice(
-        ((K, l) for K in range(1, K_reach + 1) for l in range(2, max_ell + 1)),
-        budget + 1))
-    head_tau = {pair: tau(*pair) for pair in pairs}
+    top_ell = min(max_ell, budget + 2)
     # rhs_tau[l][K] = tau(K, l) for K <= max_m * K_reach, within the cap;
-    # index 0 is never read (K >= m >= 1).
-    top_ell = max(l for _, l in pairs)
+    # index 0 is never read (K >= m >= 1), and no row is built if K_top = 0.
     K_top = min(max_m * K_reach, NUM_TABLE_CAP // (top_ell - 1))
     rhs_tau = {l: [0] + [tau(K, l) for K in range(1, K_top + 1)]
-               for l in range(2, top_ell + 1)}
+               for l in range(2, top_ell + 1)} if K_top else {}
     # tables[n] = _tails(K_reach, n), for the tail lengths that fit the cap.
     tables: list[list] = []
     parts = 0
@@ -251,11 +248,19 @@ def check_lemma_num(
     counterexamples: list[dict] = []
 
     for m in range(1, max_m + 1):
-        for head in itertools.combinations_with_replacement(pairs, m):
-            head_sum = sum(head_tau[pair] for pair in head)
+        if m == 1:  # a budget cut may come long before the last pair
+            heads = ((((K, l),), tau(K, l)) for K in range(1, K_reach + 1)
+                     for l in range(2, max_ell + 1))
+        else:
+            if m == 2:  # each pair cost the m = 1 walk an instance
+                head_tau = {(K, l): tau(K, l) for K in range(1, K_reach + 1)
+                            for l in range(2, max_ell + 1)}
+            heads = ((head, sum(head_tau[pair] for pair in head)) for head
+                     in itertools.combinations_with_replacement(head_tau, m))
+        for head, head_sum in heads:
             head_K = sum(K for K, _ in head)
             ell = max(l for _, l in head)
-            rhs_row = rhs_tau[ell]
+            rhs_row = rhs_tau.get(ell, ())
             for n in range(max_m - m + 1):
                 steps = max_q if n else 1
                 for tail, tail_K, tail_q1 in (
@@ -309,7 +314,12 @@ def check_lemma_num(
 
 def _tails(max_K: int, n: int):
     """(tail, sum of tail, q = 1 tail term) for each n-multiset of
-    1..max_K, in combinations_with_replacement order."""
+    1..max_K, in combinations_with_replacement order; n <= 1 skips the
+    sums and the max_K-int pool that combinations_with_replacement copies."""
+    if n == 0:
+        return [((), 0, 0)]
+    if n == 1:
+        return (((K,), K, K // 2) for K in range(1, max_K + 1))
     return ((tail, sum(tail), sum(Ki // 2 for Ki in tail))
             for tail in itertools.combinations_with_replacement(
                 range(1, max_K + 1), n))

@@ -165,13 +165,6 @@ def test_verify_lemma_num_small(capsys):
     assert record["counterexamples"] == []
 
 
-def test_verify_lemma_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("CYCLICCOVER_BUDGET", "10")
-    code, _, err = run(capsys, "verify-lemma", "num", "--max-m", "3",
-                       "--max-K", "6", "--max-ell", "4", "--max-q", "3")
-    assert code == 3
-
-
 def test_verify_lemma_alg_missing_args(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["verify-lemma", "alg"])
@@ -465,6 +458,28 @@ def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell):
         "note: partial: budget exhausted\n")
 
 
+def test_verify_lemma_num_huge_box_at_large_budget_is_bounded():
+    # The m = 1 heads come from a generator, so the walk, not a table of
+    # 3,000,001 head pairs, meets the budget: the cut comes among the
+    # first head's one-part tails.
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = cli_under_memory_limit(
+        "verify-lemma", "num", "--max-K", str(10**8), "--max-ell", "3",
+        "--budget", "3000000")
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stderr) == (
+        3, "budget exhausted: instance budget 3000000 exceeded\n")
+    assert proc.stdout == (
+        "lemma num: PARTIAL\n"
+        "box max_K=100000000 max_ell=3 max_m=4 max_q=5\n"
+        "instances checked: 3000000\n"
+        "min slack (bound - observed): 0\n"
+        "note: partial: budget exhausted\n")
+    cpu_s = (after.ru_utime - before.ru_utime
+             + after.ru_stime - before.ru_stime)
+    assert cpu_s < 2, cpu_s
+
+
 def test_verify_lemma_alg_one_part_per_ideal_at_large_ell():
     # k = ell: the only colength partition is (1, ..., 1), one instance,
     # however many parts it has.
@@ -544,16 +559,6 @@ def test_verify_lemma_rejects_negative_budget(capsys):
     code, out, err = run(capsys, "verify-lemma", "num", "--budget", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --budget must be >= 0, got -1\n"
-
-
-@pytest.mark.parametrize("value", ["-5", "abc", "1.5", " 10", "+10", ""])
-def test_verify_lemma_rejects_bad_budget_env(capsys, monkeypatch, value):
-    monkeypatch.setenv("CYCLICCOVER_BUDGET", value)
-    code, out, err = run(capsys, "verify-lemma", "alg", "--k", "4",
-                         "--ell", "2")
-    assert (code, out) == (2, "")
-    assert err == ("error: CYCLICCOVER_BUDGET must be a non-negative "
-                   f"integer, got {value!r}\n")
 
 
 def test_criteria_reports_undecodable_config_as_config_error(tmp_path, capsys):

@@ -30,7 +30,6 @@ def modules_after(code: str, cwd=None) -> set:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
-    env.pop("CYCLICCOVER_BUDGET", None)
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -102,6 +101,22 @@ def test_command_loads_no_dataclasses_inspect_or_typing(command, tmp_path):
     added = modules_after(command_code(*argv), cwd=tmp_path) - bare_modules()
     assert not added & {"dataclasses", "inspect", "typing"}
     assert ("json" in added) == loads_json
+
+
+def test_commands_bind_no_layer_name_in_cli(tmp_path):
+    # cli reaches each layer through the package's lazy exports, so running
+    # every command leaves no layer function, class or module among its
+    # globals.
+    (tmp_path / "c.json").write_text(json.dumps(CONFIG))
+    layers = {f"cycliccover.{name}" for name in LAYERS if name != "cli"}
+    code = "".join(command_code(*argv) for argv, _ in COMMANDS.values())
+    code += (f"layers = {sorted(layers)!r}\n"
+             "values = vars(cycliccover.cli).items()\n"
+             "bound = sorted(name for name, value in values if getattr(\n"
+             "    value, '__module__', getattr(value, '__name__', None))\n"
+             "    in layers)\n"
+             "assert not bound, bound\n")
+    modules_after(code, cwd=tmp_path)
 
 
 def test_sigma_table_loads_only_combinatorics():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from typing import List
 
 import pytest
@@ -394,6 +395,23 @@ def test_lemma_num_matches_reference_past_table_cap(monkeypatch, cap):
     for box in GRID[::3]:
         for budget in BUDGETS:
             assert_num_matches_reference(box, budget)
+
+
+def test_lemma_num_builds_nothing_the_walk_does_not_reach(monkeypatch):
+    # 30,001 head pairs and K_i up to 30,001 fit the budget, but the
+    # cut comes among the first head's one-part tails: no pair list, no
+    # copy of 1..max_K for the tails, and with the cap at 10 two tau rows
+    # of 6 entries.
+    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError) as exc_info:
+            check_lemma_num(4, 10**8, 3, 5, budget=30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc_info.value.partial_report.instances_checked == 30000
+    assert peak < 2**20, peak  # 3 KB here; 6 MB with the tables built
 
 
 @given(head=st.integers(min_value=-50, max_value=50),

@@ -1,13 +1,19 @@
-"""Byte-identity of local-model transcripts.
+"""Byte-identity of CLI transcripts.
 
-The digests are the sha256 of `local-model` stdout produced by the
+DIGESTS holds the sha256 of `local-model` stdout produced by the
 Fraction-coefficient implementation of Q(zeta_d) that the integer form
 replaced; any change in an exact value or its printed form shows here.
 Keys are (d, trials, seed).  --d 1 runs no trials: a case-2 trial needs
 d >= 2.
+
+TRANSCRIPTS covers the other four commands: each key is an argv, run in a
+directory holding the README's example config as scenario.json and a
+config with an unknown key as bad.json, and each digest is the sha256 of
+repr((exit code, stdout, stderr)).
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -63,3 +69,45 @@ def test_local_model_stdout_unchanged(capsys, d, trials, seed):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[d, trials, seed]
 
+
+README_CONFIG = {
+    "schema": 1, "label": "geiser k=3", "d": 2, "branched": True,
+    "profile": {"0": {"jet": 3, "very": 3}, "1": {"jet": 2, "very": 2}}}
+BAD_CONFIG = {"schema": 1, "d": 2, "profile": {}, "extra": 0}
+NUM_BOX = ("verify-lemma", "num", "--max-m", "3", "--max-K", "6",
+           "--max-ell", "4", "--max-q", "3")
+RECORDS = ("--format", "structured-records")
+
+TRANSCRIPTS = {
+    ("sigma-table", "--d", "15", "--kmax", "15", "--format", "plain"):
+        "0b6c0a8b327b015a9fd2bd30ffc7a32ec8bf281040bb7b56e47dce2995f304b4",
+    ("sigma-table", "--d", "15", "--kmax", "15", "--format", "markdown"):
+        "da13ac595208b2a47ed6236e862bd921f006d0cae6a0cf2b05dcb203749947f3",
+    ("sigma-table", "--d", "15", "--kmax", "15", "--format", "csv"):
+        "ef9e3821310312a6214ae7e453ecc6cd6f3078b8a65955629e0890e0ed32d227",
+    ("sigma-table", "--d", "15", "--kmax", "15", "--format", "structured-records"):
+        "b589c0343c9b6abf5d0e769e96202d0951461dfba2ce5796a3ef897d65cac29c",
+    ("verify-lemma", "alg", "--k", "8", "--ell", "3"): "1cf186629c4865948cbad442acbc93c2e0b1df304c8e068f3ee3783f7619077f",
+    ("verify-lemma", "alg", "--k", "8", "--ell", "3", *RECORDS): "80681feb93ceabfb6aa2d1ad2bbe0e2cb5ee003c2f1cec7985ee9b538cdd5e88",
+    NUM_BOX: "4c752ea750f2e4a504713f0f5b7efbe2fb5516b736fab970682b6423734818ea",
+    (*NUM_BOX, *RECORDS): "b172a963d51090bc8c151e893e00cc4e3d10c7bdfea8abd3add87651c845dc93",
+    (*NUM_BOX, "--budget", "10"): "10028093cfecdf54e8affc2c0ffa61341d2f57b5b267a872f6d4bd3e15933f54",
+    (*NUM_BOX, "--budget", "10", *RECORDS): "19938dafcf81fbe00be65470fbd51445c9b0fab4c85c91f9dfc355af0a2a1d9d",
+    ("criteria", "--config", "scenario.json"): "cf942e0bd0c12f9d7532d1bd38dd0beb811073806988966ffaf89edb8431c2a8",
+    ("criteria", "--config", "scenario.json", *RECORDS): "34a0dacc4e06f257aa58c293510bc03e347fe2e65235b355bd3241f05cdd1c3b",
+    ("criteria", "--config", "bad.json"): "300a01c99d44c5d3b4bfec1a603579c0eae667cdbd120bc4266cfea939c32101",
+    ("examples",): "10a9fd371a4b3062e8f56fbc7f3f8ff4a1afe51fb5f79f9dc92cf88c84656cb9",
+    ("examples", *RECORDS): "f591bd3cc35c213b04dc06fd1f299dc4c345aa76917d124e77e58e5d0252406d",
+    ("examples", "--only", "geiser"): "21a654d15633227c4e90d25c5abfb13f87ac66c38f9caddbb66054b6a264f291",
+}
+
+
+@pytest.mark.parametrize("argv", TRANSCRIPTS, ids=" ".join)
+def test_command_transcript_unchanged(capsys, monkeypatch, tmp_path, argv):
+    (tmp_path / "scenario.json").write_text(json.dumps(README_CONFIG))
+    (tmp_path / "bad.json").write_text(json.dumps(BAD_CONFIG))
+    monkeypatch.chdir(tmp_path)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    transcript = repr((code, captured.out, captured.err)).encode()
+    assert hashlib.sha256(transcript).hexdigest() == TRANSCRIPTS[argv]
