@@ -6,6 +6,8 @@ with gcd(den, *nums) == 1, standing for sum_i (nums[i] / den) * zeta^i.
 The polynomial is reduced modulo the monic d-th cyclotomic polynomial, so
 zeta^a == zeta^b exactly when a = b mod d.  Arithmetic is integer
 convolution and integer reduction; equality and hashing compare tuples.
+power_sum reduces integer coefficients of any length over one denominator;
+the constructor takes it too, so there is one reduction path.
 No floating point anywhere.
 """
 
@@ -110,31 +112,30 @@ def _make(order: int, den: int, nums) -> "CyclotomicNumber":
     return _fill(object.__new__(CyclotomicNumber), order, den, nums)
 
 
+def power_sum(order: int, den: int, coeffs) -> "CyclotomicNumber":
+    """sum_i coeffs[i] * zeta^i / den for integer coeffs of any length and
+    an integer den > 0: one reduction modulo Phi_order.  A vector indexed
+    by exponents mod order (zeta^order = 1) reduces the same way."""
+    return _make(order, den,
+                 _divmod_monic(coeffs, cyclotomic_polynomial(order))[1])
+
+
 class CyclotomicNumber:
     """An element of Q(zeta_d), immutable and hashable."""
 
     __slots__ = ("order", "den", "nums")
 
     def __init__(self, order: int, coeffs: Iterable[int | Fraction]):
-        phi = cyclotomic_polynomial(order)
         fracs = [Fraction(c) for c in coeffs]
         den = lcm(*(f.denominator for f in fracs))
-        _, nums = _divmod_monic(
-            [f.numerator * (den // f.denominator) for f in fracs], phi)
-        _fill(self, order, den, nums)
+        x = power_sum(order, den,
+                      [f.numerator * (den // f.denominator) for f in fracs])
+        _fill(self, order, x.den, x.nums)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CyclotomicNumber is immutable")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicNumber":
-        return cls(order, [])
-
-    @classmethod
-    def one(cls, order: int) -> "CyclotomicNumber":
-        return cls(order, [1])
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "CyclotomicNumber":

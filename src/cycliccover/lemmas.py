@@ -261,14 +261,13 @@ def check_lemma_num(
             head_K = sum(K for K, _ in head)
             ell = max(l for _, l in head)
             rhs_row = rhs_tau.get(ell, ())
+            in_row = len(rhs_row) - head_K  # rhs_row covers tail_K < in_row
             for n in range(max_m - m + 1):
                 steps = max_q if n else 1
                 for tail, tail_K, tail_q1 in (
                         tables[n] if n < len(tables) else _tails(K_reach, n)):
-                    try:
-                        rhs = rhs_row[head_K + tail_K]
-                    except IndexError:
-                        rhs = tau(head_K + tail_K, ell)
+                    rhs = (rhs_row[head_K + tail_K] if tail_K < in_row
+                           else tau(head_K + tail_K, ell))
                     slack = rhs - head_sum - tail_q1
                     if slack >= 0 and checked + steps <= budget:
                         checked += steps

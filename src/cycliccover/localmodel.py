@@ -24,8 +24,9 @@ import random
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, power_sum
 from .errors import ResourceBudgetError, SingularSystemError
 from .series import TruncatedSeries, collect_terms
 
@@ -77,14 +78,26 @@ def vandermonde_solve(d: int, betas: Sequence[int]) -> tuple[CyclotomicNumber, .
 def vandermonde_residual(
         d: int, betas: Sequence[int],
         alphas: Sequence[CyclotomicNumber]) -> tuple[CyclotomicNumber, ...]:
-    """Exact residuals (lhs - delta(j, 0)) of the solved system, row by row."""
+    """Exact residuals (lhs - delta(j, 0)) of the solved system, row by row.
+    Over the alphas' common denominator, row j adds alpha_c's numerator
+    coefficient of zeta^i at exponent i + c * node_j mod d, and is reduced
+    once."""
+    if any(a.order != d for a in alphas):
+        raise ValueError(f"alphas must lie in Q(zeta_{d})")
     nodes = [0] + [b % d for b in betas]
+    den = lcm(*(a.den for a in alphas))
+    scaled = [[(i, x * (den // a.den)) for i, x in enumerate(a.nums) if x]
+              for a in alphas]
     out = []
     for j, node in enumerate(nodes):
-        acc = CyclotomicNumber.zero(d)
-        for c, alpha in enumerate(alphas):
-            acc = acc + CyclotomicNumber.root_of_unity(d, c * node) * alpha
-        out.append(acc - (1 if j == 0 else 0))
+        row = [0] * d
+        if j == 0:
+            row[0] = -den
+        for c, terms in enumerate(scaled):
+            shift = c * node
+            for i, x in terms:
+                row[(i + shift) % d] += x
+        out.append(power_sum(d, den, row))
     return tuple(out)
 
 
@@ -101,18 +114,29 @@ def _check_fiber(d: int, nodes: list[int]) -> None:
 def _lagrange(d: int, nodes: Sequence[int], r: int) -> list[CyclotomicNumber]:
     """Coefficients, constant first, of prod_{j != r} (x - x_j) / (x_r - x_j)
     with x_j = zeta^nodes[j]: column r of the inverse Vandermonde matrix.
-    The nodes must pass _check_fiber."""
-    xs = [CyclotomicNumber.root_of_unity(d, n) for n in nodes]
-    one = CyclotomicNumber.one(d)
+    The nodes, residues mod d, must pass _check_fiber.
+
+    Numerator coefficients and the denominator are kept as integer vectors
+    indexed by exponents mod d, on which x_j acts as a rotation; each is
+    reduced mod Phi_d once, at the end."""
+    one = [1] + [0] * (d - 1)
     coeffs, denom = [one], one
-    for j, xj in enumerate(xs):
+    for j, xj in enumerate(nodes):
         if j != r:  # p -> (x - x_j) * p: p[k] -> p[k-1] - x_j * p[k]
-            coeffs = ([-(xj * coeffs[0])]
-                      + [lo - xj * hi for lo, hi in zip(coeffs, coeffs[1:])]
+            moved = [_rotate(c, xj) for c in coeffs]
+            coeffs = ([[-v for v in moved[0]]]
+                      + [[a - b for a, b in zip(lo, hi)]
+                         for lo, hi in zip(coeffs, moved[1:])]
                       + [coeffs[-1]])
-            denom = denom * (xs[r] - xj)
-    inv = denom.inverse()
-    return [c * inv for c in coeffs]
+            denom = [a - b for a, b in
+                     zip(_rotate(denom, nodes[r]), _rotate(denom, xj))]
+    inv = power_sum(d, 1, denom).inverse()
+    return [power_sum(d, 1, c) * inv for c in coeffs]
+
+
+def _rotate(v: list[int], m: int) -> list[int]:
+    """zeta^m * v for 0 <= m < d, v indexed by the exponents 0..d-1 of zeta."""
+    return v[-m:] + v[:-m]
 
 
 def case2_construct(d: int, betas: Sequence[int],

@@ -1,12 +1,14 @@
 """Independent oracle: sympy's cyclotomic polynomials and polynomial
 remainder / modular inverse agree with CyclotomicNumber."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cycliccover.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from cycliccover.cyclotomic import (
+    CyclotomicNumber, cyclotomic_polynomial, power_sum)
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -33,6 +35,22 @@ def test_cyclotomic_polynomial_matches_sympy():
     for d in range(1, 41):
         want = sympy.Poly(sympy.cyclotomic_poly(d, X), X).all_coeffs()[::-1]
         assert cyclotomic_polynomial(d) == tuple(int(c) for c in want)
+
+
+def test_power_sum_matches_sympy_rem():
+    # Integer vectors of any length up to 3d (the Lagrange columns and the
+    # residual rows are length d) reduce like sympy's remainder mod Phi_d.
+    rng = random.Random(15)
+    for d in range(1, 41):
+        phi = sympy.Poly(sympy.cyclotomic_poly(d, X), X)
+        for length in (0, d, rng.randint(1, 3 * d), 3 * d):
+            coeffs = [rng.randint(-50, 50) for _ in range(length)]
+            den = rng.choice([1, 2, 6, rng.randint(1, 10**6)])
+            rem = sympy.rem(sympy.Poly(coeffs[::-1] or [0], X), phi)
+            want = coefficients(rem.as_expr() / den, d)
+            x = power_sum(d, den, coeffs)
+            assert as_fractions(x) == want
+            assert x == CyclotomicNumber(d, [Fraction(c, den) for c in coeffs])
 
 
 orders = st.integers(min_value=1, max_value=12)

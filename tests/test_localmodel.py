@@ -53,9 +53,11 @@ def multiply_decompositions(a, b):
 
 
 def lagrange_residual(d, nodes, r, alphas):
-    """Row j of the Vandermonde system at the nodes, minus delta(j, r)."""
+    """Row j of the Vandermonde system at the nodes, minus delta(j, r): a
+    sum of CyclotomicNumber products, the reference for the rotated and
+    once-reduced rows of vandermonde_residual."""
     return [sum((CyclotomicNumber.root_of_unity(d, c * node) * alpha
-                 for c, alpha in enumerate(alphas)), CyclotomicNumber.zero(d))
+                 for c, alpha in enumerate(alphas)), CyclotomicNumber(d, []))
             - (1 if j == r else 0) for j, node in enumerate(nodes)]
 
 
@@ -63,7 +65,7 @@ def lagrange_residual(d, nodes, r, alphas):
 
 
 def test_vandermonde_single_point():
-    assert vandermonde_solve(3, []) == (CyclotomicNumber.one(3),)
+    assert vandermonde_solve(3, []) == (CyclotomicNumber(3, [1]),)
 
 
 def test_vandermonde_degree_two():
@@ -93,6 +95,30 @@ def test_vandermonde_other_rhs_indices():
                     alphas = _lagrange(d, nodes, rhs)
                     for r in lagrange_residual(d, nodes, rhs, alphas):
                         assert r.is_zero()
+
+
+def test_vandermonde_residual_matches_product_reference():
+    # Every l <= d <= 10 at the CLI's nodes, exact and with zeta^c / 7
+    # added to alpha_c: the perturbed system leaves some row nonzero.
+    for d in range(1, 11):
+        for l in range(1, d + 1):
+            betas = list(range(1, l))
+            nodes = [0, *betas]
+            alphas = vandermonde_solve(d, betas)
+            got = vandermonde_residual(d, betas, alphas)
+            assert got == tuple(lagrange_residual(d, nodes, 0, alphas))
+            assert all(r.is_zero() for r in got)
+            for c in range(l):
+                bent = list(alphas)
+                bent[c] = bent[c] + CyclotomicNumber.root_of_unity(d, c) / 7
+                got = vandermonde_residual(d, betas, bent)
+                assert got == tuple(lagrange_residual(d, nodes, 0, bent))
+                assert not all(r.is_zero() for r in got)
+
+
+def test_vandermonde_residual_rejects_alphas_of_another_order():
+    with pytest.raises(ValueError):
+        vandermonde_residual(4, [1], vandermonde_solve(3, [1]))
 
 
 def test_vandermonde_repeated_betas_rejected():
