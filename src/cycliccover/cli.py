@@ -295,9 +295,8 @@ def _cmd_local_model(args) -> int:
     any_failure = False
 
     # Vandermonde residual sweep for the requested degree.
-    for l in range(1, args.d + 1):
+    for l, alphas in enumerate(_pkg.localmodel.vandermonde_sweep(args.d), 1):
         betas = list(range(1, l))
-        alphas = _pkg.localmodel.vandermonde_solve(args.d, betas)
         residuals = _pkg.localmodel.vandermonde_residual(args.d, betas, alphas)
         ok = all(r.is_zero() for r in residuals)
         any_failure |= not ok

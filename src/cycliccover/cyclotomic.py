@@ -83,14 +83,20 @@ def _mul_reduce(a, b, field: _Field) -> list[int]:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    low = field.low
-    for k in range(2 * n - 2, n - 1, -1):
-        t = prod[k]
+    return _reduce(prod, field)
+
+
+def _reduce(v: list[int], field: _Field) -> list[int]:
+    """v reduced (or zero-padded) in place to length n modulo Phi."""
+    n, low = field.n, field.low
+    v += [0] * (n - len(v))
+    for k in range(len(v) - 1, n - 1, -1):
+        t = v[k]
         if t:
             for i, c in low:
-                prod[k - n + i] -= t * c
-    del prod[n:]
-    return prod
+                v[k - n + i] -= t * c
+    del v[n:]
+    return v
 
 
 _set = object.__setattr__
@@ -116,8 +122,7 @@ def power_sum(order: int, den: int, coeffs) -> "CyclotomicNumber":
     """sum_i coeffs[i] * zeta^i / den for integer coeffs of any length and
     an integer den > 0: one reduction modulo Phi_order.  A vector indexed
     by exponents mod order (zeta^order = 1) reduces the same way."""
-    return _make(order, den,
-                 _divmod_monic(coeffs, cyclotomic_polynomial(order))[1])
+    return _make(order, den, _reduce(list(coeffs), _field(order)))
 
 
 class CyclotomicNumber:
@@ -134,13 +139,6 @@ class CyclotomicNumber:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CyclotomicNumber is immutable")
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def root_of_unity(cls, order: int, power: int = 1) -> "CyclotomicNumber":
-        """zeta_d^power, any integer power."""
-        return _make(order, 1, _field(order).powers[power % order])
 
     # -- predicates --------------------------------------------------------
 
@@ -259,15 +257,16 @@ class CyclotomicNumber:
         return f"CyclotomicNumber(order={self.order}, {self})"
 
     def __str__(self):
-        parts = []
+        parts, den = [], self.den
         for i, c in enumerate(self.nums):
             if c == 0:
                 continue
-            c = Fraction(c, self.den)
+            g = gcd(c, den)  # c / den in lowest terms, as Fraction prints it
+            c = str(c // g) if g == den else f"{c // g}/{den // g}"
             if i == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif i == 1:
-                parts.append(f"{c}*z" if c != 1 else "z")
+                parts.append(f"{c}*z" if c != "1" else "z")
             else:
-                parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
+                parts.append(f"{c}*z^{i}" if c != "1" else f"z^{i}")
         return " + ".join(parts) if parts else "0"

@@ -9,7 +9,8 @@ over Q(zeta_d):
 
   * away from the ramification locus, separating the points of one fiber
     reduces to a Vandermonde system in the powers of zeta_d
-    (vandermonde_solve / case2_construct);
+    (vandermonde_sweep / case2_construct): a power of zeta_d rotates integer
+    vectors indexed by exponents mod d, and each value is reduced once;
   * at a ramification point the covering is u_1 -> u_1^d = v_1 and a jet
     splits by the residue of the u_1-exponent mod d
     (decompose_jet_ramified / case3_construct).
@@ -24,7 +25,7 @@ import random
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import CyclotomicNumber, power_sum
 from .errors import ResourceBudgetError, SingularSystemError
@@ -54,51 +55,69 @@ class SectionDecomposition(namedtuple("SectionDecomposition", "d components")):
 def evaluate_at_orbit_point(decomposition: SectionDecomposition,
                             beta: int) -> TruncatedSeries:
     """Value of the section at the orbit point indexed by beta: substitute
-    t -> zeta_d^beta, i.e. sum_q zeta^(q*beta) * components[q]."""
+    t -> zeta_d^beta, i.e. sum_q zeta^(q*beta) * components[q], one
+    _rotated_sum per exponent."""
     d, comps = decomposition.d, decomposition.components
-    roots = [CyclotomicNumber.root_of_unity(d, q * beta) for q in range(d)]
+    by_exps: dict = {}
+    for q, comp in enumerate(comps):
+        for exps, coeff in comp.terms.items():
+            by_exps.setdefault(exps, []).append((q * beta, 1, *_parts(coeff, d)))
     return collect_terms(comps[0].variables, min(c.bound for c in comps), (
-        (exps, root * coeff) for root, comp in zip(roots, comps)
-        for exps, coeff in comp.terms.items()))
+        (exps, power_sum(d, *_rotated_sum(d, terms)))
+        for exps, terms in by_exps.items()))
+
+
+def _parts(coeff, d: int):
+    """(den, nums) with coeff = sum_i nums[i] * zeta_d^i / den."""
+    if isinstance(coeff, CyclotomicNumber):
+        if coeff.order != d:
+            raise ValueError(f"mixed root orders {d} and {coeff.order}")
+        return coeff.den, coeff.nums
+    return coeff.denominator, (coeff.numerator,)
+
+
+def _rotated_sum(d: int, terms) -> tuple[int, list[int]]:
+    """(den, row), row unreduced and indexed by exponents mod d, with
+    sum_i row[i] zeta^i / den = sum over (s, m, q, nums) of m zeta^s nums / q."""
+    den = lcm(*[t[2] for t in terms])
+    row = [0] * d
+    for s, m, q, nums in terms:
+        m *= den // q
+        for i, x in enumerate(nums, s):
+            if x:
+                row[i % d] += m * x
+    return den, row
 
 
 # -- fiber separation (regular orbit) --------------------------------------
 
 
-def vandermonde_solve(d: int, betas: Sequence[int]) -> tuple[CyclotomicNumber, ...]:
-    """Solve the separation system for one regular fiber: at the nodes 0,
-    betas[0], ..., betas[-1] (distinct mod d), row j demands
-    sum_c zeta^(c*node_j) * alpha_c = delta(j, 0).  The alphas are the
-    coefficients of the Lagrange polynomial of node 0."""
-    nodes = [0] + [b % d for b in betas]
-    _check_fiber(d, nodes)
-    return tuple(_lagrange(d, nodes, 0))
+def vandermonde_sweep(d: int) -> list[tuple[CyclotomicNumber, ...]]:
+    """For l = 1..d, the alphas of vandermonde_residual's system at the nodes
+    0..l-1, the coefficients of prod_{0<j<l} (x - zeta^j) / (1 - zeta^j).  Step
+    l multiplies by x - w and 1/(1 - w) = -(1/e) sum_{k<e} k w^k, w = zeta^l
+    of order e: integer rotations, one reduction mod Phi_d per alpha."""
+    steps = [(1, [[1] + [0] * (d - 1)])]
+    for l in range(1, d):
+        den, coeffs = steps[-1]
+        e = d // gcd(d, l)
+        steps.append((den * e, [
+            _rotated_sum(d, [(k * l, -k, 1, c) for k in range(1, e)])[1]
+            for c in _times_linear(coeffs, l)]))
+    return [tuple(power_sum(d, den, c) for c in coeffs)
+            for den, coeffs in steps]
 
 
 def vandermonde_residual(
         d: int, betas: Sequence[int],
         alphas: Sequence[CyclotomicNumber]) -> tuple[CyclotomicNumber, ...]:
-    """Exact residuals (lhs - delta(j, 0)) of the solved system, row by row.
-    Over the alphas' common denominator, row j adds alpha_c's numerator
-    coefficient of zeta^i at exponent i + c * node_j mod d, and is reduced
-    once."""
-    if any(a.order != d for a in alphas):
-        raise ValueError(f"alphas must lie in Q(zeta_{d})")
-    nodes = [0] + [b % d for b in betas]
-    den = lcm(*(a.den for a in alphas))
-    scaled = [[(i, x * (den // a.den)) for i, x in enumerate(a.nums) if x]
-              for a in alphas]
-    out = []
-    for j, node in enumerate(nodes):
-        row = [0] * d
-        if j == 0:
-            row[0] = -den
-        for c, terms in enumerate(scaled):
-            shift = c * node
-            for i, x in terms:
-                row[(i + shift) % d] += x
-        out.append(power_sum(d, den, row))
-    return tuple(out)
+    """Exact residuals of the separation system at the nodes 0, betas[0], ...
+    (distinct mod d): row j demands sum_c zeta^(c*node_j) * alpha_c =
+    delta(j, 0), and its residual is one _rotated_sum, reduced once."""
+    parts = [_parts(a, d) for a in alphas]
+    return tuple(power_sum(d, *_rotated_sum(d, [(0, -(j == 0), 1, (1,))] + [
+        (c * node, 1, *p) for c, p in enumerate(parts)]))
+        for j, node in enumerate([0] + [b % d for b in betas]))
 
 
 def _check_fiber(d: int, nodes: list[int]) -> None:
@@ -122,16 +141,21 @@ def _lagrange(d: int, nodes: Sequence[int], r: int) -> list[CyclotomicNumber]:
     one = [1] + [0] * (d - 1)
     coeffs, denom = [one], one
     for j, xj in enumerate(nodes):
-        if j != r:  # p -> (x - x_j) * p: p[k] -> p[k-1] - x_j * p[k]
-            moved = [_rotate(c, xj) for c in coeffs]
-            coeffs = ([[-v for v in moved[0]]]
-                      + [[a - b for a, b in zip(lo, hi)]
-                         for lo, hi in zip(coeffs, moved[1:])]
-                      + [coeffs[-1]])
+        if j != r:
+            coeffs = _times_linear(coeffs, xj)
             denom = [a - b for a, b in
                      zip(_rotate(denom, nodes[r]), _rotate(denom, xj))]
     inv = power_sum(d, 1, denom).inverse()
     return [power_sum(d, 1, c) * inv for c in coeffs]
+
+
+def _times_linear(coeffs: list[list[int]], m: int) -> list[list[int]]:
+    """(x - zeta^m) * p: p[k] -> p[k-1] - zeta^m p[k], constant term first."""
+    moved = [_rotate(c, m) for c in coeffs]
+    return ([[-v for v in moved[0]]]
+            + [[a - b for a, b in zip(lo, hi)]
+               for lo, hi in zip(coeffs, moved[1:])]
+            + [coeffs[-1]])
 
 
 def _rotate(v: list[int], m: int) -> list[int]:
@@ -159,15 +183,24 @@ def case2_construct(d: int, betas: Sequence[int],
     if bound > TRUNCATION_CAP:
         raise ResourceBudgetError(
             f"truncation bound {bound} exceeds cap {TRUNCATION_CAP}")
-    vars0 = jets[0].variables
-    lifted = [j.truncate(min(j.bound, orders[i])).with_bound(bound)
-              for i, j in enumerate(jets)]
-    components = [TruncatedSeries.zero(vars0, bound) for _ in range(d)]
     nodes = [b % d for b in betas]
     _check_fiber(d, nodes)
-    for i in range(l):
-        for q, alpha in enumerate(_lagrange(d, nodes, i)):
-            components[q] = components[q] + lifted[i].scale(alpha)
+    vars0 = jets[0].variables
+    by_exps: dict = {}
+    for i, jet in enumerate(jets):
+        if jet.variables != vars0:
+            raise ValueError(f"variable mismatch: {vars0} vs {jet.variables}")
+        for exps, coeff in jet.terms.items():
+            if sum(exps) < orders[i]:
+                by_exps.setdefault(exps, []).append((i, *_parts(coeff, d)))
+    columns = [_lagrange(d, nodes, i) for i in range(l)]
+    # jet i's sum_j x_j zeta^j / den times alpha_q^(i) = columns[i][q]
+    components = [collect_terms(vars0, bound, (
+        (exps, power_sum(d, *_rotated_sum(d, [
+            (j, x, den * columns[i][q].den, columns[i][q].nums)
+            for i, den, nums in terms for j, x in enumerate(nums) if x])))
+        for exps, terms in by_exps.items())) for q in range(l)]
+    components += [collect_terms(vars0, bound, ()) for _ in range(l, d)]
     return SectionDecomposition(d, tuple(components))
 
 

@@ -68,12 +68,6 @@ class TruncatedSeries:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TruncatedSeries is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Iterable[str], bound: int) -> "TruncatedSeries":
-        return _make(tuple(variables), bound, {})
-
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cycliccover.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from cycliccover.cyclotomic import (
+    CyclotomicNumber, _divmod_monic, cyclotomic_polynomial, power_sum)
+
+
+def root(d, a=1):
+    """zeta_d^a for any integer a, from its exponent vector."""
+    return CyclotomicNumber(d, [0] * (a % d) + [1])
 
 
 def test_cyclotomic_polynomials():
@@ -18,16 +24,16 @@ def test_cyclotomic_polynomials():
 
 def test_root_power_cycles():
     for d in range(1, 13):
-        z = CyclotomicNumber.root_of_unity(d)
+        z = root(d)
         power = CyclotomicNumber(d, [1])
         for a in range(1, d + 1):
             power = power * z
-            assert power == CyclotomicNumber.root_of_unity(d, a)
+            assert power == root(d, a)
         assert power == 1
         for a in range(2 * d):
             for b in range(2 * d):
-                equal = CyclotomicNumber.root_of_unity(d, a) == \
-                    CyclotomicNumber.root_of_unity(d, b)
+                equal = root(d, a) == \
+                    root(d, b)
                 assert equal == ((a - b) % d == 0)
 
 
@@ -42,16 +48,16 @@ def test_sum_of_all_roots_is_zero():
     for d in range(2, 10):
         total = CyclotomicNumber(d, [])
         for a in range(d):
-            total = total + CyclotomicNumber.root_of_unity(d, a)
+            total = total + root(d, a)
         assert total.is_zero()
 
 
 def test_inverse():
     for d in range(1, 9):
         for a in range(d):
-            z = CyclotomicNumber.root_of_unity(d, a)
+            z = root(d, a)
             assert z * z.inverse() == 1
-            assert CyclotomicNumber.root_of_unity(d, -a) == z.inverse()
+            assert root(d, -a) == z.inverse()
     x = CyclotomicNumber(5, [1, 2, 0, 1])
     assert x * x.inverse() == 1
     assert (1 / x) * x == 1
@@ -63,14 +69,14 @@ def test_zero_has_no_inverse():
 
 
 def test_order_mixing_rejected():
-    a = CyclotomicNumber.root_of_unity(3)
-    b = CyclotomicNumber.root_of_unity(4)
+    a = root(3)
+    b = root(4)
     with pytest.raises(ValueError):
         a + b
 
 
 def test_hash_consistency():
-    a = CyclotomicNumber.root_of_unity(4, 1)
+    a = root(4, 1)
     b = CyclotomicNumber(4, [0, 1])
     assert a == b and hash(a) == hash(b)
 
@@ -102,20 +108,20 @@ def test_rational_elements_hash_like_fractions():
     x = CyclotomicNumber(7, [Fraction(3, 7)])
     assert hash(x) == hash(Fraction(3, 7))
     assert hash(CyclotomicNumber(4, [])) == hash(0)
-    assert hash(CyclotomicNumber.root_of_unity(4, 2)) == hash(-1)
+    assert hash(root(4, 2)) == hash(-1)
 
 
 def test_rationals_equal_across_orders():
     assert CyclotomicNumber(5, [1]) == CyclotomicNumber(3, [1])
-    assert CyclotomicNumber.root_of_unity(2) == CyclotomicNumber.root_of_unity(4, 2)
-    assert CyclotomicNumber.root_of_unity(3) != CyclotomicNumber.root_of_unity(6, 2)
+    assert root(2) == root(4, 2)
+    assert root(3) != root(6, 2)
     assert len({CyclotomicNumber(5, [1]), CyclotomicNumber(3, [1]), 1}) == 1
 
 
 def test_canonical_form_independent_of_route():
     # 1/2 + zeta/2 in Q(zeta_3), built four ways
     d = 3
-    z = CyclotomicNumber.root_of_unity(d)
+    z = root(d)
     routes = [
         CyclotomicNumber(d, [Fraction(1, 2), Fraction(1, 2)]),
         CyclotomicNumber(d, [2, 2, 0, 0, 0, 0]) / 4,
@@ -140,3 +146,43 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", refuse)
     x * y, x + y, x - y, y - x, x * half, x + half, half - x, 3 * x, x + 1
     assert x == x and x != y and x != half and x != 1
+    str(x), str(y), str(x * half)
+
+
+@given(st.integers(1, 16), st.data())
+def test_power_sum_matches_divmod_remainder(d, data):
+    # Lengths below phi(d), equal to it, and from d up to 3d.
+    n = len(cyclotomic_polynomial(d)) - 1
+    length = data.draw(st.sampled_from(
+        [k for k in range(n)] + [n, d, d + 1, 3 * d]))
+    coeffs = data.draw(st.lists(st.integers(-10**6, 10**6),
+                                min_size=length, max_size=length))
+    den = data.draw(st.integers(1, 50))
+    got = power_sum(d, den, coeffs)
+    rem = _divmod_monic(coeffs, cyclotomic_polynomial(d))[1]
+    assert got == CyclotomicNumber(d, [Fraction(x, den) for x in rem])
+
+
+def fraction_str(x):
+    """The rendering of x through Fraction, the reference for __str__."""
+    parts = []
+    for i, c in enumerate(x.nums):
+        if c == 0:
+            continue
+        c = Fraction(c, x.den)
+        if i == 0:
+            parts.append(str(c))
+        elif i == 1:
+            parts.append(f"{c}*z" if c != 1 else "z")
+        else:
+            parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
+    return " + ".join(parts) if parts else "0"
+
+
+@given(st.integers(1, 12),
+       st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 60)),
+                max_size=14))
+def test_str_matches_fraction_rendering(d, pairs):
+    x = CyclotomicNumber(d, [Fraction(a, b) for a, b in pairs])
+    assert str(x) == fraction_str(x)
+    assert str(-x) == fraction_str(-x)

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycliccover.cyclotomic import CyclotomicNumber
+from cycliccover.engine import (
+    CoveringScenario, PositivityProfile, max_guaranteed_jet_order)
 from cycliccover.errors import ResourceBudgetError, SingularSystemError
 from cycliccover.localmodel import (
+    TRUNCATION_CAP,
     SectionDecomposition,
     _lagrange,
     case2_construct,
@@ -16,11 +20,16 @@ from cycliccover.localmodel import (
     reassemble_ramified,
     run_case2_trial,
     vandermonde_residual,
-    vandermonde_solve,
+    vandermonde_sweep,
 )
-from cycliccover.series import TruncatedSeries
+from cycliccover.series import TruncatedSeries, collect_terms
 
 U = ("u1", "u2")
+
+
+def root(d, a=1):
+    """zeta_d^a for any integer a, from its exponent vector."""
+    return CyclotomicNumber(d, [0] * (a % d) + [1])
 
 
 def rational_series(bound, terms):
@@ -31,7 +40,7 @@ def apply_deck(decomposition):
     """The deck transformation scales the q-th summand by zeta_d^q."""
     d = decomposition.d
     return SectionDecomposition(d, tuple(
-        comp.scale(CyclotomicNumber.root_of_unity(d, q))
+        comp.scale(root(d, q))
         for q, comp in enumerate(decomposition.components)))
 
 
@@ -45,7 +54,7 @@ def multiply_decompositions(a, b):
     d = a.d
     bound = min(c.bound for c in a.components + b.components)
     # adding into zeros of the least bound truncates every product
-    out = [TruncatedSeries.zero(U, bound) for _ in range(d)]
+    out = [TruncatedSeries(U, bound) for _ in range(d)]
     for q, cq in enumerate(a.components):
         for p, cp in enumerate(b.components):
             out[(q + p) % d] = out[(q + p) % d] + cq * cp
@@ -56,7 +65,7 @@ def lagrange_residual(d, nodes, r, alphas):
     """Row j of the Vandermonde system at the nodes, minus delta(j, r): a
     sum of CyclotomicNumber products, the reference for the rotated and
     once-reduced rows of vandermonde_residual."""
-    return [sum((CyclotomicNumber.root_of_unity(d, c * node) * alpha
+    return [sum((root(d, c * node) * alpha
                  for c, alpha in enumerate(alphas)), CyclotomicNumber(d, []))
             - (1 if j == r else 0) for j, node in enumerate(nodes)]
 
@@ -65,27 +74,34 @@ def lagrange_residual(d, nodes, r, alphas):
 
 
 def test_vandermonde_single_point():
-    assert vandermonde_solve(3, []) == (CyclotomicNumber(3, [1]),)
+    assert vandermonde_sweep(3)[0] == (CyclotomicNumber(3, [1]),)
 
 
 def test_vandermonde_degree_two():
-    alphas = vandermonde_solve(2, [1])
-    assert alphas == (CyclotomicNumber(2, [Fraction(1, 2)]),) * 2
+    assert vandermonde_sweep(2)[1] == (CyclotomicNumber(2, [Fraction(1, 2)]),) * 2
 
 
 def test_vandermonde_full_fiber_is_dft():
     # All d points: the solution is the discrete-Fourier coefficient row.
     for d in range(1, 7):
         betas = list(range(1, d))
-        alphas = vandermonde_solve(d, betas)
+        alphas = vandermonde_sweep(d)[-1]
         for r in vandermonde_residual(d, betas, alphas):
             assert r.is_zero()
         expected = CyclotomicNumber(d, [Fraction(1, d)])
         assert alphas[0] == expected
 
 
+def test_vandermonde_sweep_matches_lagrange_columns():
+    # Column 0 at the nodes 0..l-1, built by inverting the denominator.
+    for d in range(1, 13):
+        sweep = vandermonde_sweep(d)
+        assert sweep == [tuple(_lagrange(d, list(range(l)), 0))
+                         for l in range(1, d + 1)]
+
+
 def test_vandermonde_other_rhs_indices():
-    # Every Lagrange column, not only the column 0 that vandermonde_solve
+    # Every Lagrange column, not only the column 0 that the sweep
     # returns: 1,024 solves for d <= 8.
     for d in range(1, 9):
         for size in range(0, d):
@@ -101,16 +117,15 @@ def test_vandermonde_residual_matches_product_reference():
     # Every l <= d <= 10 at the CLI's nodes, exact and with zeta^c / 7
     # added to alpha_c: the perturbed system leaves some row nonzero.
     for d in range(1, 11):
-        for l in range(1, d + 1):
+        for l, alphas in enumerate(vandermonde_sweep(d), 1):
             betas = list(range(1, l))
             nodes = [0, *betas]
-            alphas = vandermonde_solve(d, betas)
             got = vandermonde_residual(d, betas, alphas)
             assert got == tuple(lagrange_residual(d, nodes, 0, alphas))
             assert all(r.is_zero() for r in got)
             for c in range(l):
                 bent = list(alphas)
-                bent[c] = bent[c] + CyclotomicNumber.root_of_unity(d, c) / 7
+                bent[c] = bent[c] + root(d, c) / 7
                 got = vandermonde_residual(d, betas, bent)
                 assert got == tuple(lagrange_residual(d, nodes, 0, bent))
                 assert not all(r.is_zero() for r in got)
@@ -118,16 +133,18 @@ def test_vandermonde_residual_matches_product_reference():
 
 def test_vandermonde_residual_rejects_alphas_of_another_order():
     with pytest.raises(ValueError):
-        vandermonde_residual(4, [1], vandermonde_solve(3, [1]))
+        vandermonde_residual(4, [1], vandermonde_sweep(3)[1])
 
 
 def test_vandermonde_repeated_betas_rejected():
+    jet = rational_series(2, {(0, 0): 1})
     with pytest.raises(SingularSystemError):
-        vandermonde_solve(4, [1, 1])
+        case2_construct(4, [0, 1, 1], [jet] * 3, [2] * 3)
     with pytest.raises(SingularSystemError):
-        vandermonde_solve(4, [4])  # 4 = 0 mod 4 collides with the base point
+        case2_construct(4, [0, 4], [jet] * 2, [2] * 2)  # 4 = 0 mod 4
     with pytest.raises(ValueError):
-        vandermonde_solve(2, [1, 2, 3])  # more points than the fiber holds
+        # more points than the fiber holds
+        case2_construct(2, [0, 1, 2, 3], [jet] * 4, [2] * 4)
 
 
 # -- fiber separation construction --------------------------------------------
@@ -142,7 +159,7 @@ def test_case2_single_point_degenerates():
 
 def test_case2_jet_and_zero():
     jet = rational_series(2, {(0, 0): 1, (1, 0): 1})
-    zero = TruncatedSeries.zero(U, 2)
+    zero = TruncatedSeries(U, 2)
     section = case2_construct(2, [0, 1], [jet, zero], [2, 2])
     assert evaluate_at_orbit_point(section, 0).truncate(2) == jet
     assert evaluate_at_orbit_point(section, 1).truncate(2).is_zero()
@@ -179,6 +196,101 @@ def test_case2_validation():
         case2_construct(2, [0], [jet], [13])
 
 
+def test_case2_rejects_jets_in_other_variables():
+    jet = rational_series(2, {(0, 0): 1})
+    other = TruncatedSeries(("v1", "u2"), 2, {(1, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="variable mismatch"):
+        case2_construct(3, [0, 1], [jet, other], [2, 2])
+    empty = TruncatedSeries(("x",), 2)
+    with pytest.raises(ValueError, match="variable mismatch"):
+        case2_construct(3, [0, 1], [jet, empty], [2, 2])
+
+
+def test_case2_cyclotomic_jets():
+    # Coefficients in Q(zeta_d) are prescribed and met like rational ones;
+    # a coefficient of another root order is refused.
+    rng = random.Random(5)
+    for d in (3, 4, 5, 6, 9):
+        z = CyclotomicNumber(d, [0, 1])
+        betas = [0, -1, d + 1]
+        jets = [TruncatedSeries(U, 3, {
+            (0, 0): z * rng.randint(1, 4) + Fraction(1, rng.randint(1, 5)),
+            (1, 1): CyclotomicNumber(d, [Fraction(rng.randint(-3, 3), 7)] * d),
+            (0, 2): Fraction(rng.randint(-5, 5), 3)}) for _ in betas]
+        section = case2_construct(d, betas, jets, [3, 2, 3])
+        for beta, jet, order in zip(betas, jets, [3, 2, 3]):
+            assert evaluate_at_orbit_point(section, beta).truncate(order) \
+                == jet.truncate(order)
+    foreign = TruncatedSeries(U, 2, {(0, 0): CyclotomicNumber(5, [0, 1])})
+    with pytest.raises(ValueError, match="mixed root orders"):
+        case2_construct(3, [0, 1], [foreign, foreign], [2, 2])
+    with pytest.raises(ValueError, match="mixed root orders"):
+        evaluate_at_orbit_point(SectionDecomposition(2, (foreign, foreign)), 1)
+
+
+def reference_case2(d, betas, jets, orders):
+    """Components by scaling each lifted jet by its Lagrange column and
+    adding series, the reference for case2_construct's rotated sums."""
+    bound = max(orders)
+    nodes = [b % d for b in betas]
+    comps = [TruncatedSeries(jets[0].variables, bound) for _ in range(d)]
+    for i, jet in enumerate(jets):
+        lifted = jet.truncate(min(jet.bound, orders[i])).with_bound(bound)
+        for q, alpha in enumerate(_lagrange(d, nodes, i)):
+            comps[q] = comps[q] + lifted.scale(alpha)
+    return tuple(comps)
+
+
+def reference_evaluate(decomposition, beta):
+    """sum_q zeta^(q*beta) * components[q] by field products and
+    collect_terms, the reference for evaluate_at_orbit_point."""
+    d, comps = decomposition.d, decomposition.components
+    return collect_terms(comps[0].variables, min(c.bound for c in comps), (
+        (exps, root(d, q * beta) * coeff) for q, comp in enumerate(comps)
+        for exps, coeff in comp.terms.items()))
+
+
+def random_coefficient(data, d):
+    """A nonzero rational, or an element of Q(zeta_d)."""
+    fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    if data.draw(st.booleans()):
+        return data.draw(fracs.filter(bool))
+    return CyclotomicNumber(d, data.draw(st.lists(fracs, min_size=1, max_size=d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_case2_and_evaluation_match_product_reference(data):
+    d = data.draw(st.integers(2, 10))
+    l = data.draw(st.integers(1, d))
+    # residues mod d, moved by multiples of d: negative betas and betas >= d
+    betas = [r + d * data.draw(st.integers(-2, 2))
+             for r in data.draw(st.permutations(range(d)))[:l]]
+    orders = [data.draw(st.integers(1, 4)) for _ in betas]
+    jets = []
+    for order in orders:
+        bound = data.draw(st.integers(1, 5))
+        exps = data.draw(st.lists(st.sampled_from(
+            [(a, b) for a in range(bound) for b in range(bound - a)]),
+            max_size=6, unique=True))
+        jets.append(TruncatedSeries(
+            U, bound, {e: random_coefficient(data, d) for e in exps}))
+    section = case2_construct(d, betas, jets, orders)
+    assert section.components == reference_case2(d, betas, jets, orders)
+    for beta in betas + [data.draw(st.integers(-3 * d, 3 * d))]:
+        assert evaluate_at_orbit_point(section, beta) == \
+            reference_evaluate(section, beta)
+    # components of unequal bounds: terms at or above the least drop out
+    mixed = SectionDecomposition(d, tuple(
+        TruncatedSeries(U, bound, {e: c for e, c in comp.terms.items()
+                                   if sum(e) < bound})
+        for comp in section.components
+        for bound in [data.draw(st.integers(0, 5))]))
+    beta = data.draw(st.integers(-3 * d, 3 * d))
+    assert evaluate_at_orbit_point(mixed, beta) == \
+        reference_evaluate(mixed, beta)
+
+
 # -- orbit evaluation and deck action -------------------------------------------
 
 
@@ -190,18 +302,18 @@ def test_evaluate_beta_zero_is_plain_sum():
 
 
 def test_invariant_component_independent_of_beta():
-    comps = (rational_series(2, {(1, 0): 3}), TruncatedSeries.zero(U, 2))
+    comps = (rational_series(2, {(1, 0): 3}), TruncatedSeries(U, 2))
     dec = SectionDecomposition(2, comps)
     assert evaluate_at_orbit_point(dec, 0) == evaluate_at_orbit_point(dec, 1)
 
 
 def test_pure_t_component_picks_up_eigenvalue():
     one = rational_series(2, {(0, 0): 1})
-    zero = TruncatedSeries.zero(U, 2)
+    zero = TruncatedSeries(U, 2)
     dec = SectionDecomposition(3, (zero, one, zero))
     e1 = evaluate_at_orbit_point(dec, 1)
     e2 = evaluate_at_orbit_point(dec, 2)
-    z = CyclotomicNumber.root_of_unity(3)
+    z = root(3)
     assert e2 == e1.scale(z)  # results differ by the factor zeta
 
 
@@ -214,7 +326,7 @@ def test_deck_action_multiplies_by_eigenvalues():
     dec = SectionDecomposition(d, comps)
     turned = apply_deck(dec)
     for q in range(d):
-        z = CyclotomicNumber.root_of_unity(d, q)
+        z = root(d, q)
         assert turned.components[q] == dec.components[q].scale(z)
     # and compatibly with orbit evaluation: deck then evaluate at beta
     # equals evaluate at beta + 1.
@@ -324,3 +436,29 @@ def test_case3_validation():
         case3_construct(2, jet, 3)  # degree-3 term is no jet mod m^3
     with pytest.raises(ResourceBudgetError):
         case3_construct(2, rational_series(2, {(0, 0): 1}), 13)
+
+
+def test_case3_obstructions_certify_engine_jet_order():
+    # The full jet in u1, u2 mod m^(k+1) has case-3 component q of degree
+    # exactly k - q (the term u1^q * u2^(k-q)), so it is unobstructed
+    # exactly when the jet criterion holds at k: the engine's k_star is the
+    # largest unobstructed k below the cap, and every smaller k passes too.
+    # One variable would not do: its component q has degree (k - q) / d.
+    built = {(d, k): case3_construct(d, TruncatedSeries(U, k + 1, {
+        (a, b): Fraction(1) for a in range(k + 1) for b in range(k + 1 - a)}),
+        k + 1) for d in range(2, 9) for k in range(TRUNCATION_CAP)}
+    rng = random.Random(1998)
+    seen = set()
+    for _ in range(3000):
+        d = rng.randint(2, 8)
+        profile = PositivityProfile({
+            q: (rng.randint(-1, 9), rng.randint(-1, 9))
+            for q in range(d) if rng.random() >= 0.15})
+        twists = [profile.jet_order(q) for q in range(d)]
+        unobstructed = [k for k in range(TRUNCATION_CAP)
+                        if not built[d, k].obstructions(twists)]
+        k_star = max_guaranteed_jet_order(
+            CoveringScenario(d, True, profile)).k_star
+        assert unobstructed == list(range(k_star + 1))
+        seen.add(k_star)
+    assert seen == set(range(-1, 10))
