@@ -51,9 +51,9 @@ def _divmod_monic(num: list[int], mod: tuple[int, ...]):
 
 
 class _Field:
-    """Per-order constants: the reduction rule and the powers of zeta."""
+    """Per-order constants: the degree and the reduction rule."""
 
-    __slots__ = ("n", "low", "powers", "conjugators", "zero")
+    __slots__ = ("n", "low")
 
     def __init__(self, order: int):
         phi = cyclotomic_polynomial(order)
@@ -61,12 +61,6 @@ class _Field:
         self.n = n
         # x^n = -sum(c * x^i for i, c in low) modulo Phi_order
         self.low = tuple((i, c) for i, c in enumerate(phi[:n]) if c)
-        self.powers = tuple(
-            tuple(_divmod_monic([0] * p + [1], phi)[1]) for p in range(order))
-        # sigma_k: zeta -> zeta^k for the units k mod order other than 1
-        self.conjugators = tuple(
-            k for k in range(2, order) if gcd(k, order) == 1)
-        self.zero = (0,) * n
 
 
 @lru_cache(maxsize=None)
@@ -195,39 +189,6 @@ class CyclotomicNumber:
                      _mul_reduce(self.nums, other.nums, _field(self.order)))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "CyclotomicNumber":
-        """1/x as the product of the Galois conjugates sigma_k(x), k a unit
-        mod d other than 1, divided by the rational norm N(x)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        field = _field(self.order)
-        nums, powers, order = self.nums, field.powers, self.order
-        conj = list(field.zero)
-        conj[0] = 1
-        for k in field.conjugators:
-            sigma = [0] * field.n
-            for i, x in enumerate(nums):
-                if x:
-                    for j, z in enumerate(powers[i * k % order]):
-                        sigma[j] += x * z
-            conj = _mul_reduce(conj, sigma, field)
-        # nums * conj is the norm of the numerator, a nonzero integer
-        norm = _mul_reduce(nums, conj, field)[0]
-        scale = self.den if norm > 0 else -self.den
-        return _make(order, abs(norm), [x * scale for x in conj])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     # -- comparison / display ------------------------------------------------
 

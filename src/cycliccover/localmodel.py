@@ -10,7 +10,8 @@ over Q(zeta_d):
   * away from the ramification locus, separating the points of one fiber
     reduces to a Vandermonde system in the powers of zeta_d
     (vandermonde_sweep / case2_construct): a power of zeta_d rotates integer
-    vectors indexed by exponents mod d, and each value is reduced once;
+    vectors indexed by exponents mod d, a division by 1 - zeta_d^m is one
+    running sum per cycle, and each value is reduced once;
   * at a ramification point the covering is u_1 -> u_1^d = v_1 and a jet
     splits by the residue of the u_1-exponent mod d
     (decompose_jet_ramified / case3_construct).
@@ -95,29 +96,62 @@ def _rotated_sum(d: int, terms) -> tuple[int, list[int]]:
 def vandermonde_sweep(d: int) -> list[tuple[CyclotomicNumber, ...]]:
     """For l = 1..d, the alphas of vandermonde_residual's system at the nodes
     0..l-1, the coefficients of prod_{0<j<l} (x - zeta^j) / (1 - zeta^j).  Step
-    l multiplies by x - w and 1/(1 - w) = -(1/e) sum_{k<e} k w^k, w = zeta^l
-    of order e: integer rotations, one reduction mod Phi_d per alpha."""
+    l multiplies by x - zeta^l (a rotation) and divides by 1 - zeta^l through
+    _over_one_minus: O(l * d) integer steps, one reduction mod Phi_d per
+    alpha."""
     steps = [(1, [[1] + [0] * (d - 1)])]
     for l in range(1, d):
         den, coeffs = steps[-1]
-        e = d // gcd(d, l)
-        steps.append((den * e, [
-            _rotated_sum(d, [(k * l, -k, 1, c) for k in range(1, e)])[1]
-            for c in _times_linear(coeffs, l)]))
+        e, coeffs = _over_one_minus(d, l, _times_linear(coeffs, l))
+        steps.append((den * e, coeffs))
     return [tuple(power_sum(d, den, c) for c in coeffs)
             for den, coeffs in steps]
+
+
+def _over_one_minus(d: int, m: int, vectors) -> tuple[int, list[list[int]]]:
+    """(e, [e * c / (1 - zeta^m) for c in vectors]), e = d / gcd(d, m) the
+    order of zeta^m, m != 0 mod d, each c indexed by the exponents 0..d-1.
+    Along each cycle t, t + m, ... the result v obeys v[t] - v[t - m] =
+    e * c[t] - (the sum of c over the cycle), and a constant on a cycle is 0
+    in Q(zeta_d), so each cycle starts at 0: O(d) per vector."""
+    g = gcd(d, m)
+    e = d // g
+    out = []
+    for c in vectors:
+        v = [0] * d
+        for start in range(g):
+            t, s, x = start, sum(c[start::g]), 0
+            for _ in range(e - 1):
+                t = (t + m) % d
+                x += e * c[t] - s
+                v[t] = x
+        out.append(v)
+    return e, out
 
 
 def vandermonde_residual(
         d: int, betas: Sequence[int],
         alphas: Sequence[CyclotomicNumber]) -> tuple[CyclotomicNumber, ...]:
     """Exact residuals of the separation system at the nodes 0, betas[0], ...
-    (distinct mod d): row j demands sum_c zeta^(c*node_j) * alpha_c =
-    delta(j, 0), and its residual is one _rotated_sum, reduced once."""
+    (distinct mod d), one alpha per node: row j demands
+    sum_c zeta^(c*node_j) * alpha_c = delta(j, 0).  The alphas are put over
+    one common denominator once; each row adds their numerators rotated by
+    c * node_j and is reduced once."""
+    nodes = [0] + [b % d for b in betas]
+    if len(alphas) != len(nodes):
+        raise ValueError(
+            f"need one alpha per node: {len(nodes)} nodes, {len(alphas)} alphas")
+    _check_fiber(d, nodes)
     parts = [_parts(a, d) for a in alphas]
-    return tuple(power_sum(d, *_rotated_sum(d, [(0, -(j == 0), 1, (1,))] + [
-        (c * node, 1, *p) for c, p in enumerate(parts)]))
-        for j, node in enumerate([0] + [b % d for b in betas]))
+    den = lcm(*[q for q, _ in parts])
+    scaled = [[x * (den // q) for x in nums] for q, nums in parts]
+    rows = [[0] * d for _ in nodes]
+    rows[0][0] = -den
+    for row, node in zip(rows, nodes):
+        for c, nums in enumerate(scaled):
+            for i, x in enumerate(nums, c * node):
+                row[i % d] += x
+    return tuple(power_sum(d, den, row) for row in rows)
 
 
 def _check_fiber(d: int, nodes: list[int]) -> None:
@@ -132,21 +166,23 @@ def _check_fiber(d: int, nodes: list[int]) -> None:
 
 def _lagrange(d: int, nodes: Sequence[int], r: int) -> list[CyclotomicNumber]:
     """Coefficients, constant first, of prod_{j != r} (x - x_j) / (x_r - x_j)
-    with x_j = zeta^nodes[j]: column r of the inverse Vandermonde matrix.
+    with x_j = zeta^nodes[j]: column r of M^-1, M the Vandermonde matrix.
     The nodes, residues mod d, must pass _check_fiber.
 
-    Numerator coefficients and the denominator are kept as integer vectors
-    indexed by exponents mod d, on which x_j acts as a rotation; each is
-    reduced mod Phi_d once, at the end."""
+    Numerator coefficients are kept as integer vectors indexed by exponents
+    mod d, on which x_j acts as a rotation.  The reciprocal denominator is
+    the product of the factors zeta^-nodes[r] / (1 - zeta^(nodes[j] -
+    nodes[r])), each a division by _over_one_minus.  Each vector is reduced
+    mod Phi_d once, at the end."""
     one = [1] + [0] * (d - 1)
-    coeffs, denom = [one], one
+    coeffs, recip, den = [one], one, 1
     for j, xj in enumerate(nodes):
         if j != r:
             coeffs = _times_linear(coeffs, xj)
-            denom = [a - b for a, b in
-                     zip(_rotate(denom, nodes[r]), _rotate(denom, xj))]
-    inv = power_sum(d, 1, denom).inverse()
-    return [power_sum(d, 1, c) * inv for c in coeffs]
+            e, (recip,) = _over_one_minus(d, (xj - nodes[r]) % d, [recip])
+            den *= e
+    recip = power_sum(d, den, _rotate(recip, -(len(nodes) - 1) * nodes[r] % d))
+    return [power_sum(d, 1, c) * recip for c in coeffs]
 
 
 def _times_linear(coeffs: list[list[int]], m: int) -> list[list[int]]:
@@ -235,7 +271,7 @@ def decompose_jet_ramified(jet: TruncatedSeries, d: int) -> list[TruncatedSeries
 
 def reassemble_ramified(components: Sequence[TruncatedSeries], d: int,
                         variables: Sequence[str], bound: int) -> TruncatedSeries:
-    """Inverse of the splitting: sum_q u_1^q * components[q](v_1 -> u_1^d)."""
+    """Undo the splitting: sum_q u_1^q * components[q](v_1 -> u_1^d)."""
     return collect_terms(tuple(variables), bound, (
         ((q + d * exps[0],) + exps[1:], coeff)
         for q, comp in enumerate(components)

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycliccover.cyclotomic import CyclotomicNumber
+from cycliccover.cyclotomic import CyclotomicNumber, power_sum
 from cycliccover.engine import (
     CoveringScenario, PositivityProfile, max_guaranteed_jet_order)
 from cycliccover.errors import ResourceBudgetError, SingularSystemError
@@ -13,6 +14,7 @@ from cycliccover.localmodel import (
     TRUNCATION_CAP,
     SectionDecomposition,
     _lagrange,
+    _over_one_minus,
     case2_construct,
     case3_construct,
     decompose_jet_ramified,
@@ -125,7 +127,7 @@ def test_vandermonde_residual_matches_product_reference():
             assert all(r.is_zero() for r in got)
             for c in range(l):
                 bent = list(alphas)
-                bent[c] = bent[c] + root(d, c) / 7
+                bent[c] = bent[c] + root(d, c) * Fraction(1, 7)
                 got = vandermonde_residual(d, betas, bent)
                 assert got == tuple(lagrange_residual(d, nodes, 0, bent))
                 assert not all(r.is_zero() for r in got)
@@ -134,6 +136,34 @@ def test_vandermonde_residual_matches_product_reference():
 def test_vandermonde_residual_rejects_alphas_of_another_order():
     with pytest.raises(ValueError):
         vandermonde_residual(4, [1], vandermonde_sweep(3)[1])
+
+
+def test_vandermonde_residual_needs_one_alpha_per_node():
+    # One node, two unknowns: the system is not the separation system.
+    with pytest.raises(ValueError):
+        vandermonde_residual(3, [], [1, 0])
+    with pytest.raises(ValueError):
+        vandermonde_residual(3, [1, 2], [1, 0])
+
+
+def test_vandermonde_residual_rejects_repeated_nodes():
+    with pytest.raises(SingularSystemError):
+        vandermonde_residual(3, [3], [1, 0])  # 3 = 0 mod 3
+    with pytest.raises(SingularSystemError):
+        vandermonde_residual(5, [2, 7], [1, 0, 0])
+
+
+def test_over_one_minus_times_one_minus_is_e():
+    # (1 - zeta^m) * v == e * c through the field product, for random c.
+    rng = random.Random(17)
+    for d in range(2, 13):
+        for m in range(1, d):
+            for _ in range(3):
+                c = [rng.randint(-20, 20) for _ in range(d)]
+                e, (v,) = _over_one_minus(d, m, [c])
+                assert e == d // math.gcd(d, m)
+                one_minus = CyclotomicNumber(d, [1] + [0] * (m - 1) + [-1])
+                assert one_minus * power_sum(d, e, v) == power_sum(d, 1, c)
 
 
 def test_vandermonde_repeated_betas_rejected():
