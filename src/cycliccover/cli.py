@@ -8,7 +8,9 @@ carries.  sigma-table prints the rows of combinatorics.sigma_table, blank
 where k < q.  All output is byte-deterministic for fixed arguments; the
 structured-records format emits one JSON object per line.
 
-Importing this module and building the parser load no layer module and
+main parses argv that starts with a command name once, with that command's
+parser; the top-level parser serves help, usage errors and any other argv.
+Importing this module and building the parsers load no layer module and
 not json.  Commands reach their layers through the package's lazy exports
 (``_pkg.lemmas``, ``_pkg.engine``, ...), so the package's PEP 562
 ``__getattr__`` is the one loader: it imports a layer on a command's first
@@ -331,9 +333,16 @@ def _cmd_local_model(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; every ``main`` call reuses it."""
+    """The top-level CLI parser, built once per process with the command
+    parsers; ``main`` uses it for help, usage errors and argv that does not
+    start with a command name."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """The top-level parser and its command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="cycliccover",
         description="positivity criteria for pullbacks along cyclic coverings")
@@ -377,15 +386,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_local_model)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``, or its usage
+    error, in one argparse pass: that call parses a command's argv twice,
+    at the top level and then with the command's parser, so such argv goes
+    to the command's parser alone, and the tokens it leaves over become the
+    top level's "unrecognized arguments" error."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     if args.command == "verify-lemma" and args.lemma == "alg":
         if args.k is None or args.ell is None:
-            parser.error("verify-lemma alg requires --k and --ell")
+            build_parser().error("verify-lemma alg requires --k and --ell")
     try:
         return args.func(args)
     except ResourceBudgetError as exc:

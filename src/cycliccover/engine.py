@@ -152,13 +152,14 @@ def _min_threshold(scenario: CoveringScenario, kind: str) -> CriterionVerdict:
     best = have(0)
     q = 1
     while q < d and q - 1 < best:
+        available = have(q)
         if kind == "jet":
-            best = min(best, have(q) + q)
-        elif sigma(best, d, q) > have(q):
+            best = min(best, available + q)
+        elif sigma(best, d, q) > available:
             lo, hi = q - 1, best  # k < q leaves twist q out; best fails
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if sigma(mid, d, q) <= have(q):
+                if sigma(mid, d, q) <= available:
                     lo = mid
                 else:
                     hi = mid

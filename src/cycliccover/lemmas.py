@@ -210,11 +210,12 @@ def check_lemma_num(
     (to list every failing q) or the step would cross the budget (so the
     cut, and the partial report, land on the same instance).  tau is
     tabulated once per call for every l and every K <= max_m * max_K, the
-    tails of each length are listed once with their sums, and witness
-    dicts are built for counterexamples only, so a call costs
-    O(#heads * #tails) integer steps rather than O(#instances) tau calls.
-    Tables past NUM_TABLE_CAP are not built: those tau values and tails are
-    computed as the search reaches them.  The head pairs are listed only
+    tails of each length are listed once as (value, multiplicity) runs with
+    their sums, and witness dicts are built for counterexamples only, so a
+    call costs O(#heads * #tails) integer steps rather than O(#instances)
+    tau calls.  Tables past NUM_TABLE_CAP are not built: those tau values
+    are computed as the search reaches them, and those tails are walked in
+    O(1) steps whatever their length.  The head pairs are listed only
     at m = 2, so nothing the budget keeps the walk from reaching is built,
     and a huge box at a small budget stays small.
     """
@@ -242,7 +243,8 @@ def check_lemma_num(
         parts += math.comb(K_reach + n - 1, n) * n
         if parts > NUM_TABLE_CAP:
             break
-        tables.append(list(_tails(K_reach, n)))
+        tables.append([(tuple(runs), tail_K, tail_q1)
+                       for runs, tail_K, tail_q1 in _tails(K_reach, n)])
     checked = 0
     min_slack: int | None = None
     counterexamples: list[dict] = []
@@ -275,7 +277,8 @@ def check_lemma_num(
                             min_slack = slack
                         continue
                     for q in range(1, steps + 1):
-                        lhs = head_sum + sum(Ki // (q + 1) for Ki in tail)
+                        lhs = head_sum + sum(c * (Ki // (q + 1))
+                                             for Ki, c in tail)
                         checked += 1
                         if checked > budget:
                             raise ResourceBudgetError(
@@ -295,7 +298,8 @@ def check_lemma_num(
                         if lhs > rhs:
                             counterexamples.append({
                                 "head": [list(p) for p in head],
-                                "tail": list(tail),
+                                "tail": [Ki for Ki, c in tail
+                                         for _ in range(c)],
                                 "q": q,
                                 "lhs": lhs,
                                 "rhs": rhs,
@@ -312,16 +316,28 @@ def check_lemma_num(
 
 
 def _tails(max_K: int, n: int):
-    """(tail, sum of tail, q = 1 tail term) for each n-multiset of
-    1..max_K, in combinations_with_replacement order; n <= 1 skips the
-    sums and the max_K-int pool that combinations_with_replacement copies."""
-    if n == 0:
-        return [((), 0, 0)]
-    if n == 1:
-        return (((K,), K, K // 2) for K in range(1, max_K + 1))
-    return ((tail, sum(tail), sum(Ki // 2 for Ki in tail))
-            for tail in itertools.combinations_with_replacement(
-                range(1, max_K + 1), n))
+    """(runs, sum of tail, q = 1 tail term) for each n-multiset of 1..max_K,
+    in combinations_with_replacement order, where runs lists the tail's
+    (value, multiplicity) pairs by increasing value.
+
+    runs is one list, changed in place for the next tail: raising the
+    rightmost part below max_K by one and setting the parts after it (all
+    max_K) equal to it changes at most two runs, and the sum and the q = 1
+    term by a closed form, so a step is O(1) whatever n and max_K are.
+    """
+    runs = [(1, n)] if n else []
+    tail_K, tail_q1 = n, 0
+    while True:
+        yield runs, tail_K, tail_q1
+        top = runs.pop()[1] if runs and runs[-1][0] == max_K else 0
+        if not runs:
+            return
+        Ki, c = runs.pop()
+        if c > 1:
+            runs.append((Ki, c - 1))
+        runs.append((Ki + 1, top + 1))
+        tail_K += 1 + top * (Ki + 1 - max_K)
+        tail_q1 += (top + 1) * ((Ki + 1) // 2) - Ki // 2 - top * (max_K // 2)
 
 
 def _cells(heights: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import cycliccover
+import cycliccover.cli as cli
 from cycliccover import engine
 from cycliccover.combinatorics import sigma
 from cycliccover.cli import build_parser, main
@@ -588,3 +590,102 @@ def test_criteria_duplicate_key_keeps_its_own_message(tmp_path, capsys):
     code, out, err = run(capsys, "criteria", "--config", path)
     assert (code, out, err) == (
         2, "", "config error: duplicate config key 'schema'\n")
+
+
+SCENARIO = ("--config", "scenario.json")
+# Each argv is parsed by main and by the top-level parser's parse_args.
+PARSE_ARGV = [
+    (), ("-h",), ("--help",), ("--",), ("--", "criteria", *SCENARIO),
+    ("-x", "criteria"), ("nope",), ("crit", *SCENARIO), ("sigma",),
+    ("criteria",), ("criteria", *SCENARIO),
+    ("criteria", "--config=scenario.json"),
+    ("criteria", "--conf", "scenario.json"),
+    ("criteria", *SCENARIO, *SCENARIO),
+    ("criteria", *SCENARIO, "--fo", "structured-records"),
+    ("criteria", *SCENARIO, "extra"), ("criteria", *SCENARIO, "--bogus", "-5"),
+    ("criteria", "--config"), ("criteria", "-h"), ("criteria", "--h"),
+    ("criteria", "--", *SCENARIO), ("criteria", *SCENARIO, "--", "x"),
+    ("sigma-table", "--d", "3", "--kmax", "2"),
+    ("sigma-table", "--d=3", "--kmax=2", "--format=csv"),
+    ("sigma-table", "--d", "-1", "--kmax", "2"),
+    ("sigma-table", "--d", "3", "--kmax", "-2"),
+    ("sigma-table", "--d", "x", "--kmax", "1"),
+    ("sigma-table", "--d", "3", "--kmax", "1", "--format", "html"),
+    ("sigma-table", "--d", "9", "--d", "3", "--kmax", "1"),
+    ("sigma-table", "--kmax", "1"),
+    ("sigma-table", "--d", "3", "--kmax", "1", "-"),
+    ("verify-lemma",), ("verify-lemma", "alg"), ("verify-lemma", "xyz"),
+    ("verify-lemma", "alg", "--k", "4", "--ell", "2"),
+    ("verify-lemma", "--k", "4", "alg", "--ell=2",
+     "--format", "structured-records"),
+    ("verify-lemma", "alg", "num"), ("verify-lemma", "num", "--max", "2"),
+    ("verify-lemma", "num", "--max-m", "1", "--max-K", "2", "--max-e", "2",
+     "--max-q", "1"),
+    ("verify-lemma", "num", "--max-m", "1", "--max-K", "2", "--budget", "-5"),
+    ("local-model", "--d"), ("local-model", "--d", "2", "--trials", "0"),
+    ("local-model", "--d", "-3"),
+    ("local-model", "--d", "2", "--trials", "0",
+     "--seed", "-7", "--seed", "1"),
+    ("examples", "--only", "geiser"), ("examples", "--only"),
+    ("examples", "--only=nope"), ("examples", "-h", "extra"),
+]
+
+
+def parse_outcome(monkeypatch, capsys, argv, parse):
+    """(exit code, stdout, stderr, parsed namespaces) of main(argv) with
+    cli._parse replaced by parse, recording what it returns."""
+    parsed = []
+
+    def recorded(argv):
+        parsed.append(parse(argv))
+        return parsed[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", recorded)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, parsed
+
+
+@pytest.fixture
+def scenario_dir(tmp_path, monkeypatch):
+    """A working directory holding a two-twist config as scenario.json."""
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "schema": 1, "d": 2,
+        "profile": {"0": {"jet": 3, "very": 3}, "1": {"jet": 2, "very": 2}}}))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
+def test_main_parses_like_the_top_level_parser(capsys, monkeypatch,
+                                               scenario_dir, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = parse_outcome(monkeypatch, capsys, argv,
+                             lambda argv: build_parser().parse_args(argv))
+    assert parse_outcome(monkeypatch, capsys, argv, cli._parse) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("sigma-table", "--d", "2", "--kmax", "1"),
+    ("verify-lemma", "alg", "--k", "4", "--ell", "2"),
+    ("criteria", "--config", "scenario.json"),
+    ("examples", "--only", "geiser"),
+    ("local-model", "--d", "2", "--trials", "0"),
+], ids=lambda argv: argv[0])
+def test_command_call_runs_one_argparse_pass(capsys, monkeypatch,
+                                             scenario_dir, argv):
+    build_parser()  # built before counting
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert calls == [f"cycliccover {argv[0]}"]

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from typing import List
 
@@ -13,6 +14,7 @@ from cycliccover.lemmas import (
     DEFAULT_TUPLE_BUDGET,
     LemmaReport,
     _partitions,
+    _tails,
     check_lemma_alg,
     check_lemma_num,
     enumerate_staircases,
@@ -412,6 +414,34 @@ def test_lemma_num_builds_nothing_the_walk_does_not_reach(monkeypatch):
         tracemalloc.stop()
     assert exc_info.value.partial_report.instances_checked == 30000
     assert peak < 2**20, peak  # 3 KB here; 6 MB with the tables built
+
+
+@pytest.mark.parametrize("max_K", range(1, 6))
+def test_tails_walk_combinations_with_replacement(max_K):
+    for n in range(7):
+        walked = [([Ki for Ki, c in runs for _ in range(c)], tail_K, tail_q1)
+                  for runs, tail_K, tail_q1 in _tails(max_K, n)]
+        assert walked == [
+            (list(tail), sum(tail), sum(Ki // 2 for Ki in tail))
+            for tail in itertools.combinations_with_replacement(
+                range(1, max_K + 1), n)], (max_K, n)
+
+
+def test_lemma_num_long_tails_cost_no_more_per_tail():
+    # Past the table cap each of the 20,000 tail lengths is one tail of
+    # ones; summing each tail, as the walk once did, took 22 s in all and
+    # gave this report.
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError) as exc_info:
+        check_lemma_num(20000, 1, 3, 2, budget=100000)
+    elapsed = time.perf_counter() - start
+    assert str(exc_info.value) == "instance budget 100000 exceeded"
+    assert exc_info.value.partial_report == LemmaReport(
+        lemma_id="num",
+        parameter_box={"max_m": 20000, "max_K": 1, "max_ell": 3, "max_q": 2},
+        instances_checked=100000, max_slack=0, counterexamples=[],
+        notes=("partial: budget exhausted",), partial=True)
+    assert elapsed < 2, elapsed
 
 
 @given(head=st.integers(min_value=-50, max_value=50),

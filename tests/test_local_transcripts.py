@@ -9,7 +9,9 @@ d >= 2.
 TRANSCRIPTS covers the other four commands: each key is an argv, run in a
 directory holding the README's example config as scenario.json and a
 config with an unknown key as bad.json, and each digest is the sha256 of
-repr((exit code, stdout, stderr)).
+repr((exit code, stdout, stderr)).  USAGE pins the same way, with
+COLUMNS=80, the usage errors and help texts of the top-level and command
+parsers; the exit code is the one argparse exits with.
 """
 
 import hashlib
@@ -102,12 +104,46 @@ TRANSCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("argv", TRANSCRIPTS, ids=" ".join)
-def test_command_transcript_unchanged(capsys, monkeypatch, tmp_path, argv):
+USAGE = {
+    (): "882752cf5d716a294ec628e9f98d2d4e3ca7e3e97c0e9ac596fd7d803abc907d",
+    ("nope",): "cedd69a8fcd78b823fb1380bf5cd526a4174fd5471d65c43f880f3cc67b2bf13",
+    ("criteria",): "46b4cd58d8e8bb49341be9d4914b13e1e446b6bda5ba17817ff9e0cf8681c494",
+    ("criteria", "--config", "scenario.json", "extra"):
+        "b8fa136b37fefd03463bb6fbe30c63bad619e3f5d990b1096d6da5c3322def77",
+    ("sigma-table", "--d", "x", "--kmax", "1"):
+        "ca4f57edf931ef2f251469ddd4bec3ce88e28f8bc5818b2d14ec66867bee7fbc",
+    ("sigma-table", "--d", "3", "--kmax", "1", "--format", "html"):
+        "a3484595d95aa88a8685e68b4ffa0063e055b3d1f0f6271dd294d3dff1a73b68",
+    ("verify-lemma", "alg"): "5ccf3e1456e27bab9ae86140d43a13ffaa2df87cfae1fd2a6c8c00f56f61b516",
+    ("verify-lemma", "xyz"): "3d957b6d1114c33e503b75fc9ae806801f33e57eadab3031c0dd43493df41a46",
+    ("local-model", "--d"): "7bebd0dc4fc1dfa0778d4b949f1160b8a48b5d9f569710263f4ea1a2587dee28",
+    ("-h",): "8aee44ac5e42103d74e4927ddb68c4acd4a12ce21a7c34c883bee7f2d79545ee",
+    ("criteria", "-h"): "1781efff16b73528ca84bcf498c12651590901a6c71ed081d3f9c00f2e16c5b1",
+    ("verify-lemma", "-h"): "54d7c7c6543f1605d9c1d7412bec07f420d1addbd9fd0b28aa2fa2708cf3a11b",
+}
+
+
+def transcript_digest(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "scenario.json").write_text(json.dumps(README_CONFIG))
     (tmp_path / "bad.json").write_text(json.dumps(BAD_CONFIG))
     monkeypatch.chdir(tmp_path)
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     transcript = repr((code, captured.out, captured.err)).encode()
-    assert hashlib.sha256(transcript).hexdigest() == TRANSCRIPTS[argv]
+    return hashlib.sha256(transcript).hexdigest()
+
+
+@pytest.mark.parametrize("argv", TRANSCRIPTS, ids=" ".join)
+def test_command_transcript_unchanged(capsys, monkeypatch, tmp_path, argv):
+    assert transcript_digest(capsys, monkeypatch, tmp_path,
+                             argv) == TRANSCRIPTS[argv]
+
+
+@pytest.mark.parametrize("argv", USAGE, ids=lambda argv: " ".join(argv) or "-")
+def test_usage_and_help_unchanged(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert transcript_digest(capsys, monkeypatch, tmp_path,
+                             argv) == USAGE[argv]
