@@ -16,8 +16,8 @@ not json.  Commands reach their layers through the package's lazy exports
 ``__getattr__`` is the one loader: it imports a layer on a command's first
 use, and later uses read a plain module attribute.  So sigma-table loads
 only combinatorics, criteria engine and combinatorics, and verify-lemma
-lemmas and combinatorics.  json is imported inside the functions that use
-it: by criteria and local-model, and by the other commands only for
+lemmas and combinatorics.  json loads with the process's one codec
+(_codec): in criteria and local-model, and in the other commands only for
 --format structured-records.  No command loads dataclasses.
 """
 
@@ -36,14 +36,23 @@ EXIT_BUDGET = 3
 
 CONFIG_SCHEMA_VERSION = 1
 # sigma-table refuses, before any work, a table of more rendered cells
-# (rows q times columns k) than this.  Each cell is one O(1) sigma call, so
-# cost follows the rendered text: 10^5 cells take about 0.3 s and a 50 MB
-# peak at d = 2 (one wide row), 0.15 s at d = 316 (2-vCPU VM, Python 3.11).
+# (rows q times columns k) than this.  Each cell is O(1), so cost follows the
+# text: 10^5 cells take 0.15-0.22 s (0.6-0.76 s as records) and 37 MB peak RSS
+# at d = 2 (one wide row), 0.06-0.09 s at d = 316 (2-vCPU VM, Python 3.11).
 SIGMA_TABLE_CELL_CAP = 10**5
 
 
 class ConfigError(ValueError):
     pass
+
+
+@functools.cache
+def _codec():
+    """(encode, decode): one sorted-keys JSON encoder and one strict config
+    decoder per process."""
+    import json
+    return (json.JSONEncoder(sort_keys=True).encode,
+            json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).decode)
 
 
 # -- sigma-table -------------------------------------------------------------
@@ -54,9 +63,9 @@ def render_sigma_table(d: int, kmax: int, fmt: str) -> str:
     cells for k < q are blank, and structured records skip them."""
     rows = _pkg.combinatorics.sigma_table(d, kmax)
     if fmt == "structured-records":
-        import json
+        encode = _codec()[0]
         return "\n".join(
-            json.dumps({"d": d, "q": q, "k": k, "sigma": value}, sort_keys=True)
+            encode({"d": d, "q": q, "k": k, "sigma": value})
             for q, row in rows.items() for k, value in enumerate(row, q))
 
     ks = list(range(kmax + 1))
@@ -121,8 +130,7 @@ def _cmd_verify_lemma(args) -> int:
 
 def _emit_report(report, fmt: str) -> None:
     if fmt == "structured-records":
-        import json
-        print(json.dumps(report.to_record(), sort_keys=True))
+        print(_codec()[0](report.to_record()))
     else:
         print(report.to_text())
 
@@ -136,10 +144,13 @@ def load_scenario_config(path: str):
     "0".."d-1" rejected.  A file that cannot be read, decoded or parsed
     (bad UTF-8, bad JSON, an integer past the interpreter's digit limit)
     is a ConfigError too."""
-    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
+            text = fh.read()
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                             ": line 1 column 1 (char 0)")
+        raw = _codec()[1](text)
     except ConfigError:
         raise
     except (OSError, ValueError) as exc:
@@ -180,11 +191,13 @@ def load_scenario_config(path: str):
 
 
 def _reject_duplicate_keys(pairs: list) -> dict:
-    obj = {}
-    for key, val in pairs:
-        if key in obj:
-            raise ConfigError(f"duplicate config key {key!r}")
-        obj[key] = val
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # name the first key seen twice
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"duplicate config key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -216,11 +229,11 @@ def _cmd_criteria(args) -> int:
         "very": _pkg.engine.max_guaranteed_very_order(scenario),
     }
     if args.format == "structured-records":
-        import json
+        encode = _codec()[0]
         for kind, verdict in verdicts.items():
-            print(json.dumps({"label": scenario.label, "d": scenario.d,
-                              "branched": scenario.branched}
-                             | verdict.to_record(), sort_keys=True))
+            print(encode({"label": scenario.label, "d": scenario.d,
+                          "branched": scenario.branched}
+                         | verdict.to_record()))
         return EXIT_OK
     print(f"scenario: {scenario.label or args.config} "
           f"(d={scenario.d}, {'branched' if scenario.branched else 'unbranched'})")
@@ -251,10 +264,9 @@ def _cmd_examples(args) -> int:
     for entry in entries:
         results = _pkg.catalog.evaluate_entry(entry)
         if args.format == "structured-records":
-            import json
+            encode = _codec()[0]
             for res in results:
-                print(json.dumps({"entry": entry.id} | res.to_record(),
-                                 sort_keys=True))
+                print(encode({"entry": entry.id} | res.to_record()))
         else:
             print(f"[{entry.id}] {entry.description}")
             for res in results:
@@ -276,7 +288,6 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_local_model(args) -> int:
-    import json
     import random
     from fractions import Fraction
 
@@ -294,6 +305,7 @@ def _cmd_local_model(args) -> int:
         raise ResourceBudgetError(
             f"truncation bound {args.d + 2} exceeds cap {cap}")
     rng = random.Random(args.seed)
+    encode = _codec()[0]
     any_failure = False
 
     # Vandermonde residual sweep for the requested degree.
@@ -302,16 +314,16 @@ def _cmd_local_model(args) -> int:
         residuals = _pkg.localmodel.vandermonde_residual(args.d, betas, alphas)
         ok = all(r.is_zero() for r in residuals)
         any_failure |= not ok
-        print(json.dumps({
+        print(encode({
             "check": "vandermonde", "d": args.d, "betas": betas,
             "alphas": [str(a) for a in alphas],
-            "residual_zero": ok}, sort_keys=True))
+            "residual_zero": ok}))
 
     # Randomized fiber-separation trials.
     for _ in range(args.trials):
         transcript = _pkg.localmodel.run_case2_trial(rng, max_d=args.d)
         any_failure |= not transcript["prescriptions_met"]
-        print(json.dumps({"check": "case2"} | transcript, sort_keys=True))
+        print(encode({"check": "case2"} | transcript))
 
     # Ramified splitting round trip on a sample jet.
     variables = ("u1", "u2")
@@ -322,11 +334,11 @@ def _cmd_local_model(args) -> int:
     any_failure |= not ok
     obstructions = construction.obstructions(
         [args.d - 1 - q for q in range(args.d)])
-    print(json.dumps({
+    print(encode({
         "check": "case3", "d": args.d, "round_trip": ok,
         "component_orders": list(construction.component_orders),
         "obstructions": [[o.q, o.needed_order, o.available_order]
-                         for o in obstructions]}, sort_keys=True))
+                         for o in obstructions]}))
     return EXIT_FAILURE if any_failure else EXIT_OK
 
 

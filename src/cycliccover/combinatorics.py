@@ -10,8 +10,8 @@ subtler quantity sigma(k, d, q) built from
 
 via a maximum of tau(k+1, l) over the finite range q+1 <= l <= min(d, k+1),
 which sigma evaluates in closed form: O(1) at any k and d.  sigma_table
-lists those values row by row: row q holds sigma(k, d, q) for k = q..k_max,
-the only orders at which twist q is queried.
+lists them by row: row q holds sigma(k, d, q) for k = q..k_max, the only
+orders twist q is queried at; _sigma_threshold inverts sigma in closed form.
 
 Everything here is plain integer arithmetic (Python ints, so no overflow)
 and is safe for concurrent use.
@@ -46,9 +46,9 @@ def sigma(k: int, d: int, q: int) -> int:
     0 <= q <= min(k, d-1).  Anything else raises ValueError.
 
     floor((k+1)/l) - gamma(k+1, l) = floor(k/l), so tau(k+1, l) - 1 =
-    k + 1 - g(l) with g(l) = l + floor(k/l).  g falls while l(l+1) <= k
-    and rises after, so its minimum over the range of l sits at the clamp
-    of the first l with l(l+1) > k, which is isqrt(k) or isqrt(k) + 1.
+    k + 1 - g(l) with g(l) = l + floor(k/l), whose minimum over the range
+    of l _least finds in O(1).  The domain is checked here only;
+    sigma_table and the criteria call the unchecked kernels below.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -59,12 +59,7 @@ def sigma(k: int, d: int, q: int) -> int:
             f"q={q} outside the criteria domain 0..min(k, d-1)="
             f"{min(k, d - 1)} for k={k}, d={d}"
         )
-    if q == 0:
-        return k
-    root = isqrt(k)
-    turn = root + 1 if root * (root + 1) <= k else root
-    ell = min(max(turn, q + 1), d)  # both turn and q + 1 are <= k + 1
-    return k + 1 - ell - k // ell
+    return k + 1 - _least(k, q + 1, d) if q else k  # picks no l > k + 1
 
 
 def sigma_table(d: int, k_max: int) -> dict[int, list[int]]:
@@ -74,8 +69,23 @@ def sigma_table(d: int, k_max: int) -> dict[int, list[int]]:
         raise ValueError(f"covering degree d must be >= 2, got {d}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    return {q: [sigma(k, d, q) for k in range(q, k_max + 1)]
+    return {q: [k + 1 - _least(k, q + 1, d) for k in range(q, k_max + 1)]
             for q in range(1, min(k_max, d - 1) + 1)}
+
+
+def _sigma_threshold(a: int, d: int, q: int) -> int:
+    """The largest k with sigma(k, d, q) <= a, for 1 <= q <= d-1, unchecked:
+    if a >= 0, each l in q+1..d allows k <= a + l + floor(a/(l-1)), and
+    a = -1 allows only k < q, since sigma(q, d, q) = 0."""
+    return a + 1 + _least(a, q, d - 1) if a >= 0 else q - 1
+
+
+def _least(n: int, lo: int, hi: int) -> int:
+    """min(m + floor(n/m) : lo <= m <= hi), for n >= 0 and 1 <= lo <= hi:
+    the sum falls while m(m+1) <= n and rises after."""
+    root = isqrt(n)
+    m = min(max(root + 1 if root * (root + 1) <= n else root, lo), hi)
+    return m + n // m
 
 
 def _require_positive(**named: int) -> None:

@@ -12,10 +12,10 @@ ample bundle is k-very ample.  Branched and unbranched coverings share the
 same hypotheses; the flag is carried for reporting only.
 
 Twist q constrains only k >= q, and its requirement is nondecreasing in k,
-so the orders it allows are 0..T_q for a threshold T_q >= q-1, and the
-largest guaranteed order is k* = min_q T_q.  A missing twist has T_q = q-1,
-so only the profile's entries and the first missing twist are visited:
-O(entries * log K) sigma terms, whatever d is.
+so the orders it allows are 0..T_q, and k* = min_q T_q.  A twist of order a
+has T_q = a + q (jet) or a + 1 + min{m + floor(a/m) : q <= m < d} (very),
+and T_q = q-1 if a = -1, so only the profile's entries and the first
+missing twist are visited: O(1) integer steps each, whatever d and a are.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from types import MappingProxyType
 
-from .combinatorics import sigma
+from .combinatorics import _sigma_threshold, sigma
 
 NO_GUARANTEE = -1  # sentinel order: not even globally generated
 
@@ -139,30 +139,13 @@ def max_guaranteed_very_order(scenario: CoveringScenario) -> CriterionVerdict:
 
 def _min_threshold(scenario: CoveringScenario, kind: str) -> CriterionVerdict:
     """k* = min_q T_q; best is the minimum so far, from T_0 = have(0).
-
-    A jet twist allows k <= have(q) + q.  A very twist's T_q is bisected
-    over q-1..best: sigma(k, d, q) is nondecreasing in k, as tau(k+1, l) -
-    tau(k, l) is 0 or 1.
-    """
-    d = scenario.d
-    if kind == "jet":
-        have = scenario.profile.jet_order
-    else:
-        have = scenario.profile.effective_very_order
+    Past best <= q-1 no twist can lower it, as T_q >= q-1."""
+    d, profile = scenario.d, scenario.profile
+    have = profile.jet_order if kind == "jet" else profile.effective_very_order
     best = have(0)
     q = 1
     while q < d and q - 1 < best:
-        available = have(q)
-        if kind == "jet":
-            best = min(best, available + q)
-        elif sigma(best, d, q) > available:
-            lo, hi = q - 1, best  # k < q leaves twist q out; best fails
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if sigma(mid, d, q) <= available:
-                    lo = mid
-                else:
-                    hi = mid
-            best = lo
+        a = have(q)
+        best = min(best, a + q if kind == "jet" else _sigma_threshold(a, d, q))
         q += 1
     return CriterionVerdict(kind=kind, k_star=best)

@@ -131,6 +131,8 @@ def check_lemma_alg(
         raise ValueError(f"ell must be >= 2, got {ell}")
     if k < ell:
         raise ValueError(f"need k >= ell (each ideal has colength >= 1), got k={k}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
     bound = tau(k, ell)
     checked = 0
@@ -225,6 +227,8 @@ def check_lemma_num(
             raise ValueError(f"{name} must be >= 1, got {v}")
     if max_ell < 2:
         raise ValueError(f"max_ell must be >= 2 (each l_i >= 2), got {max_ell}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
     # Each m = 1 head and each tail costs an instance, so the walk is cut

@@ -406,8 +406,8 @@ def test_criteria_huge_degree_costs_nothing_per_twist(tmp_path, capsys,
 
 def test_criteria_dense_profile_at_huge_degree(tmp_path, capsys, monkeypatch):
     # 200 twists whose very orders fall by 10^15 each: every twist moves
-    # k* down by a bisection of about 60 sigma terms, then the missing
-    # twist q = 200 caps k* at 199.
+    # k* down by its closed-form threshold, then the missing twist q = 200
+    # caps k* at 199.
     entries, top = 200, 10**18
     profile = {str(q): {"very": top - q * 10**15} for q in range(entries)}
 
@@ -423,9 +423,10 @@ def test_criteria_dense_profile_at_huge_degree(tmp_path, capsys, monkeypatch):
     assert lines[:2] == ["scenario: dense (d=1000000000, branched)",
                          "jet: k_star = -1"]
     assert lines[3] == "very: k_star = 199"
-    # the printed k = 199 and k = 200 rows take one sigma term per twist
+    # the printed k = 199 and k = 200 rows take one sigma term per twist,
+    # and the decision takes none
     printed = 2 * entries + 1
-    assert len(calls) <= entries * 64 + printed
+    assert len(calls) == printed
     # no order here reaches past k = 200, where d = 201 already saturates
     assert criteria(entries + 1) == (
         0, out.replace("d=1000000000", f"d={entries + 1}"), "")
@@ -590,6 +591,39 @@ def test_criteria_duplicate_key_keeps_its_own_message(tmp_path, capsys):
     code, out, err = run(capsys, "criteria", "--config", path)
     assert (code, out, err) == (
         2, "", "config error: duplicate config key 'schema'\n")
+
+
+# The exact stderr of configs the JSON decoder refuses, recorded before
+# the CLI shared one decoder per process; {path} is the config's path.
+DECODER_ERRORS = {
+    "bom": ('\ufeff{"schema": 1, "d": 3, "profile": {}}',
+            "config error: cannot read config {path}: Unexpected UTF-8 BOM "
+            "(decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+    "top-level key thrice": (
+        '{"schema": 1, "d": 3, "profile": {}, "d": 4, "label": "", "d": 5}',
+        "config error: duplicate config key 'd'\n"),
+    "entry key thrice": (
+        '{"schema": 1, "d": 3, "profile": {"0": {"very": 0, "jet": 1, '
+        '"jet": 2, "very": 1, "jet": 3}}}',
+        "config error: duplicate config key 'jet'\n"),
+    "malformed": ('{"schema": 1, "d": 3, "profile": {"0": {"jet": 1,}}}',
+                  "config error: cannot read config {path}: Expecting "
+                  "property name enclosed in double quotes: line 1 column 50 "
+                  "(char 49)\n"),
+    "extra data": ('{"schema": 1, "d": 3, "profile": {}} {"x": 1}',
+                   "config error: cannot read config {path}: Extra data: "
+                   "line 1 column 38 (char 37)\n"),
+}
+
+
+@pytest.mark.parametrize("case", DECODER_ERRORS)
+def test_criteria_decoder_errors_are_pinned(tmp_path, capsys, case):
+    text, expected = DECODER_ERRORS[case]
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    for _ in range(2):  # the decoder is built once and then reused
+        code, out, err = run(capsys, "criteria", "--config", str(path))
+        assert (code, out, err) == (2, "", expected.format(path=path))
 
 
 SCENARIO = ("--config", "scenario.json")

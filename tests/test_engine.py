@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cycliccover.combinatorics import sigma
+from cycliccover.combinatorics import _sigma_threshold, sigma
 from cycliccover.engine import (
     CoveringScenario,
     PositivityProfile,
@@ -208,9 +208,53 @@ def test_bisection_matches_brute_force_scan():
     st.just(d), st.integers(0, 298).flatmap(lambda k: st.tuples(
         st.just(k), st.integers(0, min(k, d - 1)))))))
 def test_sigma_nondecreasing_in_k(case):
-    # The bisection relies on this: feasibility is downward closed in k.
+    # The per-twist thresholds rely on this: feasibility is downward
+    # closed in k.
     d, (k, q) = case
     assert sigma(k, d, q) <= sigma(k + 1, d, q)
+
+
+def _threshold_by_bisection(a, d, q):
+    """The largest k with k < q or sigma(k, d, q) <= a, by doubling and
+    bisection over the public sigma; sigma(q, d, q) = 0."""
+    lo, hi = q - 1, q
+    while sigma(hi, d, q) <= a:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sigma(mid, d, q) <= a:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def threshold_cases():
+    """(a, d, q) with orders a up to 10^18 and degrees d up to 10^9."""
+    rng = random.Random(20261019)
+
+    def log_uniform(lo, hi):
+        return min(hi, max(lo, int(10 ** rng.uniform(0, 1) * 10 ** rng.randint(
+            0, len(str(hi)) - 1))))
+
+    for _ in range(600):
+        d = log_uniform(2, 10**9)
+        q = rng.choice([1, d - 1, rng.randint(1, d - 1)])
+        yield rng.choice([-1, 0, log_uniform(0, 10**18)]), d, q
+    # a at and just below the turn point m(m+1), with the range of m
+    # clamped on either side of it, and q = d - 1
+    for _ in range(300):
+        m = log_uniform(1, 10**9)
+        for a in (m * (m + 1) - 1, m * (m + 1)):
+            for d in {2, max(2, m - 1), m + 1, m + 2, 10**9}:
+                for q in {1, min(m, d - 1), d - 1}:
+                    yield a, d, q
+
+
+def test_threshold_closed_form_matches_bisection():
+    for a, d, q in threshold_cases():
+        assert _sigma_threshold(a, d, q) == _threshold_by_bisection(a, d, q), \
+            (a, d, q)
 
 
 def test_order_1e18_profile_exact_k_star():

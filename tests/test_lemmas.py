@@ -109,6 +109,18 @@ def test_lemma_alg_budget_partial_report():
     assert partial.lemma_id == "alg"
 
 
+@pytest.mark.parametrize("budget", [-1, -2])
+@pytest.mark.parametrize("check, box", [(check_lemma_alg, (5, 2)),
+                                        (check_lemma_num, (2, 3, 3, 1))],
+                         ids=["alg", "num"])
+def test_lemmas_refuse_negative_budget(check, box, budget):
+    # refused at the boundary, not as a budget cut or a crash in the setup
+    with pytest.raises(ValueError) as exc_info:
+        check(*box, budget=budget)
+    assert exc_info.type is ValueError
+    assert str(exc_info.value) == f"budget must be >= 0, got {budget}"
+
+
 def test_lemma_num_trivial_equality():
     # m = r = 1 means tau(K, ell) <= tau(K, ell): slack 0 somewhere.
     report = check_lemma_num(1, 5, 4, 2)
