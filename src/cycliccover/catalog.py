@@ -22,6 +22,7 @@ and the bertini entry's notes state both condition sets).
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from types import MappingProxyType
@@ -164,14 +165,16 @@ _COMPARE = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
 
 
 def evaluate_entry(entry: CatalogEntry) -> list[ClaimResult]:
+    """Each claim's result; only the criteria the claims name are run."""
     scenario = entry.scenario()
-    verdicts = {
-        "jet": max_guaranteed_jet_order(scenario),
-        "very": max_guaranteed_very_order(scenario),
-    }
+    k_stars = {}
     results = []
     for claim in entry.claims:
-        k_star = verdicts[claim.kind].k_star
+        if claim.kind not in k_stars:
+            decide = {"jet": max_guaranteed_jet_order,
+                      "very": max_guaranteed_very_order}[claim.kind]
+            k_stars[claim.kind] = decide(scenario).k_star
+        k_star = k_stars[claim.kind]
         results.append(ClaimResult(
             claim=claim,
             k_star=k_star,
@@ -181,7 +184,13 @@ def evaluate_entry(entry: CatalogEntry) -> list[ClaimResult]:
 
 
 def default_catalog() -> list[CatalogEntry]:
-    return [
+    """The stock entries, as a new list of the one catalog built per process."""
+    return list(_catalog())
+
+
+@functools.cache
+def _catalog() -> tuple[CatalogEntry, ...]:
+    return (
         CatalogEntry(
             id="abelian-principal",
             description="principally polarized abelian variety, d-torsion cover; "
@@ -263,4 +272,4 @@ def default_catalog() -> list[CatalogEntry]:
                       "engine-derived conditions {a>=k+1, b>=2a+k}"),
             ),
         ),
-    ]
+    )

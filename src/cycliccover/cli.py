@@ -8,17 +8,21 @@ carries.  sigma-table prints the rows of combinatorics.sigma_table, blank
 where k < q.  All output is byte-deterministic for fixed arguments; the
 structured-records format emits one JSON object per line.
 
-main parses argv that starts with a command name once, with that command's
-parser; the top-level parser serves help, usage errors and any other argv.
-Importing this module and building the parsers load no layer module and
-not json.  Commands reach their layers through the package's lazy exports
-(``_pkg.lemmas``, ``_pkg.engine``, ...), so the package's PEP 562
-``__getattr__`` is the one loader: it imports a layer on a command's first
-use, and later uses read a plain module attribute.  So sigma-table loads
-only combinatorics, criteria engine and combinatorics, and verify-lemma
-lemmas and combinatorics.  json loads with the process's one codec
-(_codec): in criteria and local-model, and in the other commands only for
---format structured-records.  No command loads dataclasses.
+One table (_COMMANDS) declares each command's options; the argparse
+parsers are built from it.  main reads a plain argv (a command name, its
+positional, whole-name "--flag value" pairs, no value starting with "-")
+from the table alone and builds no parser.  Any other argv that starts with
+a command name is parsed once, with that command's parser; the top-level
+parser serves help, usage errors and the rest, so every help and error
+text is argparse's.  Importing this module and building the parsers load
+no layer module and not json.  Commands reach their layers through the
+package's lazy exports (``_pkg.lemmas``, ``_pkg.engine``, ...), so the
+package's PEP 562 ``__getattr__`` is the one loader: it imports a layer on
+a command's first use, and later uses read a plain module attribute.  So
+sigma-table loads only combinatorics, criteria engine and combinatorics,
+and verify-lemma lemmas and combinatorics.  json loads with the process's
+one codec (_codec): in criteria and local-model, and in the other commands
+only for --format structured-records.  No command loads dataclasses.
 """
 
 import argparse
@@ -347,9 +351,45 @@ def _cmd_local_model(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level CLI parser, built once per process with the command
-    parsers; ``main`` uses it for help, usage errors and argv that does not
-    start with a command name."""
+    parsers; ``main`` uses it for help, usage errors and any argv that
+    ``_parse_plain`` refuses."""
     return _parsers()[0]
+
+
+_FORMATS = ("plain", "structured-records")
+
+# Each command's help, handler, positional (or None) and --flags, in the
+# order _parsers adds them.  An option is (dest, type, default, choices,
+# required); a positional's dest is its name.  _parsers builds argparse's
+# parsers from this table, and _parse_plain reads plain argv with it.
+_COMMANDS = {
+    "sigma-table": ("tabulate sigma(k, d, q)", _cmd_sigma_table, None, {
+        "--d": ("d", int, None, None, True),
+        "--kmax": ("kmax", int, None, None, True),
+        "--format": ("format", None, "plain",
+                     ("plain", "markdown", "csv", "structured-records"),
+                     False)}),
+    "verify-lemma": ("brute-force a lemma over a box", _cmd_verify_lemma,
+                     ("lemma", None, None, ("alg", "num"), True), {
+        "--k": ("k", int, None, None, False),
+        "--ell": ("ell", int, None, None, False),
+        "--max-m": ("max_m", int, 4, None, False),
+        "--max-K": ("max_K", int, 10, None, False),
+        "--max-ell": ("max_ell", int, 6, None, False),
+        "--max-q": ("max_q", int, 5, None, False),
+        "--budget": ("budget", int, None, None, False),
+        "--format": ("format", None, "plain", _FORMATS, False)}),
+    "criteria": ("evaluate a scenario config file", _cmd_criteria, None, {
+        "--config": ("config", None, None, None, True),
+        "--format": ("format", None, "plain", _FORMATS, False)}),
+    "examples": ("run the catalog regression suite", _cmd_examples, None, {
+        "--only": ("only", None, None, None, False),
+        "--format": ("format", None, "plain", _FORMATS, False)}),
+    "local-model": ("exact construction transcripts", _cmd_local_model, None, {
+        "--d": ("d", int, 4, None, False),
+        "--trials": ("trials", int, 10, None, False),
+        "--seed": ("seed", int, 0, None, False)}),
+}
 
 
 @functools.cache
@@ -359,54 +399,72 @@ def _parsers():
         prog="cycliccover",
         description="positivity criteria for pullbacks along cyclic coverings")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sigma-table", help="tabulate sigma(k, d, q)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--format", default="plain",
-                   choices=["plain", "markdown", "csv", "structured-records"])
-    p.set_defaults(func=_cmd_sigma_table)
-
-    p = sub.add_parser("verify-lemma", help="brute-force a lemma over a box")
-    p.add_argument("lemma", choices=["alg", "num"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--max-m", type=int, dest="max_m", default=4)
-    p.add_argument("--max-K", type=int, dest="max_K", default=10)
-    p.add_argument("--max-ell", type=int, dest="max_ell", default=6)
-    p.add_argument("--max-q", type=int, dest="max_q", default=5)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--format", default="plain",
-                   choices=["plain", "structured-records"])
-    p.set_defaults(func=_cmd_verify_lemma)
-
-    p = sub.add_parser("criteria", help="evaluate a scenario config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--format", default="plain",
-                   choices=["plain", "structured-records"])
-    p.set_defaults(func=_cmd_criteria)
-
-    p = sub.add_parser("examples", help="run the catalog regression suite")
-    p.add_argument("--only", default=None)
-    p.add_argument("--format", default="plain",
-                   choices=["plain", "structured-records"])
-    p.set_defaults(func=_cmd_examples)
-
-    p = sub.add_parser("local-model", help="exact construction transcripts")
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_local_model)
-
+    for name, (summary, func, positional, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if positional is not None:
+            dest, convert, default, choices, _ = positional
+            p.add_argument(dest, type=convert, default=default,
+                           choices=choices)
+        for flag, (dest, convert, default, choices, required) in flags.items():
+            p.add_argument(flag, dest=dest, type=convert, default=default,
+                           choices=choices, required=required)
+        p.set_defaults(func=func)
     return parser, sub.choices
+
+
+def _parse_plain(argv: list):
+    """The namespace ``build_parser().parse_args(argv)`` gives for a plain
+    argv: a command name, its positional if it has one, then whole-name
+    ``--flag value`` pairs, with no value starting with "-", each value
+    converted by its type and in its choices, and every required option
+    given; the last of a repeated flag wins.  None for any other argv."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, func, positional, flags = command
+    options = (positional,) if positional else ()
+    flagged = argv[1 + len(options):]
+    if len(argv) <= len(options) or len(flagged) % 2:
+        return None
+    pairs = list(zip(options, argv[1:]))
+    for flag, token in zip(flagged[::2], flagged[1::2]):
+        if flag not in flags:
+            return None
+        pairs.append((flags[flag], token))
+    given = {}
+    for (dest, convert, _, choices, _), token in pairs:
+        if token[:1] == "-":
+            return None
+        if convert is not None:
+            try:
+                token = convert(token)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and token not in choices:
+            return None
+        given[dest] = token
+    values = {}
+    for dest, _, default, _, required in (*options, *flags.values()):
+        if dest in given:
+            values[dest] = given[dest]
+        elif required:
+            return None
+        else:
+            values[dest] = default
+    return argparse.Namespace(**values, func=func, command=argv[0])
 
 
 def _parse(argv: list) -> argparse.Namespace:
     """The namespace of ``build_parser().parse_args(argv)``, or its usage
-    error, in one argparse pass: that call parses a command's argv twice,
-    at the top level and then with the command's parser, so such argv goes
-    to the command's parser alone, and the tokens it leaves over become the
-    top level's "unrecognized arguments" error."""
+    error or help.  Plain argv is read from the command table alone, with
+    no parser built.  Other argv that starts with a command name goes to
+    that command's parser alone, in one argparse pass (parse_args would
+    parse it twice, at the top level and then with the command's parser),
+    and the tokens it leaves over become the top level's "unrecognized
+    arguments" error."""
+    args = _parse_plain(argv)
+    if args is not None:
+        return args
     parser, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:

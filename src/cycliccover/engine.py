@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from types import MappingProxyType
 
-from .combinatorics import _sigma_threshold, sigma
+from .combinatorics import _least, _sigma_threshold
 
 NO_GUARANTEE = -1  # sentinel order: not even globally generated
 
@@ -110,19 +110,22 @@ class CriterionVerdict(namedtuple("CriterionVerdict", "kind k_star")):
 
 def explain_requirement(kind: str, k: int, scenario: CoveringScenario) -> tuple[QCheck, ...]:
     """Per-q (required, available) pairs for guaranteeing order k, as the
-    criteria command prints them; the decision itself does not use them."""
+    criteria command prints them; the decision itself does not use them.
+    kind and k are checked here, so each twist's sigma(k, d, q) is taken
+    unchecked: k for q = 0, else k + 1 - min(l + floor(k/l) : q < l <= d)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if kind not in ("jet", "very"):
+        raise ValueError(f"kind must be 'jet' or 'very', got {kind!r}")
+    d, profile = scenario.d, scenario.profile
     checks = []
-    for q in range(min(k, scenario.d - 1) + 1):
+    for q in range(min(k, d - 1) + 1):
         if kind == "jet":
             required = k - q
-            available = scenario.profile.jet_order(q)
-        elif kind == "very":
-            required = sigma(k, scenario.d, q)
-            available = scenario.profile.effective_very_order(q)
+            available = profile.jet_order(q)
         else:
-            raise ValueError(f"kind must be 'jet' or 'very', got {kind!r}")
+            required = k + 1 - _least(k, q + 1, d) if q else k
+            available = profile.effective_very_order(q)
         checks.append(QCheck(q, required, available, available >= required))
     return tuple(checks)
 

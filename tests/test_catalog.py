@@ -124,6 +124,35 @@ def test_catalog_entries_hash_and_equal_across_builds():
     assert len({e.scenario() for e in first}) == len(first)
 
 
+def test_default_catalog_is_a_new_list_of_the_same_entries():
+    first, second = default_catalog(), default_catalog()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    first.clear()
+    assert default_catalog() == second
+
+
+def test_evaluate_entry_runs_only_the_criteria_its_claims_name(monkeypatch):
+    import cycliccover.catalog as catalog
+
+    calls = []
+
+    def counted(kind, decide):
+        def decide_counted(scenario):
+            calls.append(kind)
+            return decide(scenario)
+        return decide_counted
+
+    for kind in ("jet", "very"):
+        name = f"max_guaranteed_{kind}_order"
+        monkeypatch.setattr(catalog, name, counted(kind, getattr(catalog, name)))
+    for entry in default_catalog():
+        calls.clear()
+        results = evaluate_entry(entry)
+        assert sorted(calls) == sorted({c.kind for c in entry.claims}), entry.id
+        assert [r.claim for r in results] == list(entry.claims)
+
+
 def test_catalog_entry_parameters_are_read_only():
     entry = catalog_entry("bertini")
     with pytest.raises(TypeError):

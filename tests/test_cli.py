@@ -373,15 +373,17 @@ def test_criteria_accepts_every_canonical_key(tmp_path, capsys):
     assert "jet: k_star = 12" in out
 
 
-def count_sigma_calls(monkeypatch):
+def count_sigma_terms(monkeypatch):
+    """The (k, lo, hi) of each sigma term the engine takes: one min of
+    l + floor(k/l) per twist q >= 1 of a very row (engine._least)."""
     calls = []
-    real = engine.sigma
+    real = engine._least
 
-    def counted(k, d, q):
-        calls.append((k, d, q))
-        return real(k, d, q)
+    def counted(n, lo, hi):
+        calls.append((n, lo, hi))
+        return real(n, lo, hi)
 
-    monkeypatch.setattr(engine, "sigma", counted)
+    monkeypatch.setattr(engine, "_least", counted)
     return calls
 
 
@@ -390,7 +392,7 @@ def test_criteria_huge_degree_costs_nothing_per_twist(tmp_path, capsys,
                                                       monkeypatch, d):
     # Only the profile's entries and the first missing twist are looked at,
     # so the work does not grow with d.
-    calls = count_sigma_calls(monkeypatch)
+    calls = count_sigma_terms(monkeypatch)
     text = json.dumps({"schema": 1, "label": "huge", "d": d,
                        "profile": {"0": {"jet": 10**18}}})
     code, out, err = run(capsys, "criteria", "--config",
@@ -416,16 +418,16 @@ def test_criteria_dense_profile_at_huge_degree(tmp_path, capsys, monkeypatch):
                            "profile": profile})
         return run(capsys, "criteria", "--config", write_config(tmp_path, text))
 
-    calls = count_sigma_calls(monkeypatch)
+    calls = count_sigma_terms(monkeypatch)
     code, out, err = criteria(10**9)
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[:2] == ["scenario: dense (d=1000000000, branched)",
                          "jet: k_star = -1"]
     assert lines[3] == "very: k_star = 199"
-    # the printed k = 199 and k = 200 rows take one sigma term per twist,
-    # and the decision takes none
-    printed = 2 * entries + 1
+    # the printed k = 199 and k = 200 rows take one sigma term per twist
+    # q >= 1 (sigma(k, d, 0) = k), and the decision takes none
+    printed = 2 * entries - 1
     assert len(calls) == printed
     # no order here reaches past k = 200, where d = 201 already saturates
     assert criteria(entries + 1) == (
@@ -702,6 +704,27 @@ def test_main_parses_like_the_top_level_parser(capsys, monkeypatch,
     assert parse_outcome(monkeypatch, capsys, argv, cli._parse) == expected
 
 
+def count_argparse(monkeypatch):
+    """(progs of parse_known_args calls, ArgumentParsers built) from now on,
+    with the parsers' cache emptied, so building them would show."""
+    calls, built = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parsers.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    return calls, built
+
+
 @pytest.mark.parametrize("argv", [
     ("sigma-table", "--d", "2", "--kmax", "1"),
     ("verify-lemma", "alg", "--k", "4", "--ell", "2"),
@@ -709,17 +732,25 @@ def test_main_parses_like_the_top_level_parser(capsys, monkeypatch,
     ("examples", "--only", "geiser"),
     ("local-model", "--d", "2", "--trials", "0"),
 ], ids=lambda argv: argv[0])
+def test_plain_command_call_runs_no_argparse(capsys, monkeypatch,
+                                             scenario_dir, argv):
+    calls, built = count_argparse(monkeypatch)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert (calls, built) == ([], [])
+
+
+@pytest.mark.parametrize("argv", [
+    ("sigma-table", "--d=2", "--kmax", "1"),
+    ("verify-lemma", "--k", "4", "alg", "--ell", "2"),
+    ("criteria", "--conf", "scenario.json"),
+    ("examples", "--only=geiser", "--form", "plain"),
+    ("local-model", "--d", "2", "--trials", "0", "--seed", "-1"),
+], ids=lambda argv: argv[0])
 def test_command_call_runs_one_argparse_pass(capsys, monkeypatch,
                                              scenario_dir, argv):
-    build_parser()  # built before counting
-    calls = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
-
-    def counted(self, *args, **kwargs):
-        calls.append(self.prog)
-        return parse_known_args(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    # argv the plain path refuses goes to the command's parser alone
+    calls, _ = count_argparse(monkeypatch)
     assert main(list(argv)) == 0
     capsys.readouterr()
     assert calls == [f"cycliccover {argv[0]}"]

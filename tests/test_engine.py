@@ -97,6 +97,33 @@ def test_explain_requirement_length(kind, k, d):
     assert checks[0].required == k
 
 
+@pytest.mark.parametrize("kind", ["jet", "very"])
+def test_explain_requirement_rows_match_sigma(kind):
+    # each twist's requirement, taken unchecked, is the checked sigma's
+    profile = {q: (q * 5 % 7 - 1, q * 3 % 8 - 1) for q in range(40)}
+    for d in range(2, 42):
+        s = scenario(d, profile)
+        for k in range(60):
+            want = [(q, k - q if kind == "jet" else sigma(k, d, q),
+                     s.profile.jet_order(q) if kind == "jet"
+                     else s.profile.effective_very_order(q))
+                    for q in range(min(k, d - 1) + 1)]
+            assert [(c.q, c.required, c.available, c.satisfied)
+                    for c in explain_requirement(kind, k, s)] == [
+                (q, need, have, have >= need) for q, need, have in want]
+
+
+@pytest.mark.parametrize("kind, k, message", [
+    ("very", -1, "k must be >= 0, got -1"),
+    ("both", 0, "kind must be 'jet' or 'very', got 'both'"),
+    ("both", -1, "k must be >= 0, got -1"),
+])
+def test_explain_requirement_checks_its_arguments(kind, k, message):
+    with pytest.raises(ValueError) as info:
+        explain_requirement(kind, k, scenario(3, {}))
+    assert str(info.value) == message
+
+
 def test_explain_requirement_matches_verdict():
     s = scenario(4, {0: (5, 4), 1: (2, 3), 2: (1, 1), 3: (0, -1)})
     for kind, verdict in (("jet", max_guaranteed_jet_order(s)),
