@@ -11,11 +11,11 @@ structured-records format emits one JSON object per line.
 One table (_COMMANDS) declares each command's options; the argparse
 parsers are built from it.  main reads a plain argv (a command name, its
 positional, whole-name "--flag value" pairs, no value starting with "-")
-from the table alone and builds no parser.  Any other argv that starts with
-a command name is parsed once, with that command's parser; the top-level
-parser serves help, usage errors and the rest, so every help and error
-text is argparse's.  Importing this module and building the parsers load
-no layer module and not json.  Commands reach their layers through the
+from the table alone and builds no parser.  Any other argv goes to the
+top-level parser's parse_args, which serves help, usage errors and
+spellings such as "--d=4", so every help and error text is argparse's.
+Importing this module and building the parsers load no layer module and
+not json.  Commands reach their layers through the
 package's lazy exports (``_pkg.lemmas``, ``_pkg.engine``, ...), so the
 package's PEP 562 ``__getattr__`` is the one loader: it imports a layer on
 a command's first use, and later uses read a plain module attribute.  So
@@ -308,6 +308,10 @@ def _cmd_local_model(args) -> int:
     if args.d + 2 > cap:
         raise ResourceBudgetError(
             f"truncation bound {args.d + 2} exceeds cap {cap}")
+    cap = _pkg.localmodel.TRIAL_CAP
+    if args.trials > cap:
+        raise ResourceBudgetError(
+            f"{args.trials} case-2 trials exceed cap {cap}")
     rng = random.Random(args.seed)
     encode = _codec()[0]
     any_failure = False
@@ -349,19 +353,13 @@ def _cmd_local_model(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level CLI parser, built once per process with the command
-    parsers; ``main`` uses it for help, usage errors and any argv that
-    ``_parse_plain`` refuses."""
-    return _parsers()[0]
-
-
 _FORMATS = ("plain", "structured-records")
 
 # Each command's help, handler, positional (or None) and --flags, in the
-# order _parsers adds them.  An option is (dest, type, default, choices,
-# required); a positional's dest is its name.  _parsers builds argparse's
-# parsers from this table, and _parse_plain reads plain argv with it.
+# order build_parser adds them.  An option is (dest, type, default,
+# choices, required); a positional's dest is its name.  build_parser builds
+# argparse's parsers from this table, and _parse_plain reads plain argv
+# with it.
 _COMMANDS = {
     "sigma-table": ("tabulate sigma(k, d, q)", _cmd_sigma_table, None, {
         "--d": ("d", int, None, None, True),
@@ -393,8 +391,10 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parsers():
-    """The top-level parser and its command parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level CLI parser, built once per process with the command
+    parsers; ``main`` uses it for help, usage errors and any argv that
+    ``_parse_plain`` refuses."""
     parser = argparse.ArgumentParser(
         prog="cycliccover",
         description="positivity criteria for pullbacks along cyclic coverings")
@@ -409,7 +409,7 @@ def _parsers():
             p.add_argument(flag, dest=dest, type=convert, default=default,
                            choices=choices, required=required)
         p.set_defaults(func=func)
-    return parser, sub.choices
+    return parser
 
 
 def _parse_plain(argv: list):
@@ -457,23 +457,8 @@ def _parse_plain(argv: list):
 def _parse(argv: list) -> argparse.Namespace:
     """The namespace of ``build_parser().parse_args(argv)``, or its usage
     error or help.  Plain argv is read from the command table alone, with
-    no parser built.  Other argv that starts with a command name goes to
-    that command's parser alone, in one argparse pass (parse_args would
-    parse it twice, at the top level and then with the command's parser),
-    and the tokens it leaves over become the top level's "unrecognized
-    arguments" error."""
-    args = _parse_plain(argv)
-    if args is not None:
-        return args
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    no parser built; any other argv goes to the top-level parser."""
+    return _parse_plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

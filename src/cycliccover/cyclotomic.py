@@ -4,11 +4,13 @@ An element is stored in one canonical form: integer numerators
 (nums[0], ..., nums[phi(d) - 1]) over one positive integer denominator den,
 with gcd(den, *nums) == 1, standing for sum_i (nums[i] / den) * zeta^i.
 The polynomial is reduced modulo the monic d-th cyclotomic polynomial, so
-zeta^a == zeta^b exactly when a = b mod d.  Arithmetic is integer
-convolution and integer reduction; equality and hashing compare tuples.
-power_sum reduces integer coefficients of any length over one denominator;
-the constructor takes it too, so there is one reduction path.
-No floating point anywhere.
+zeta^a == zeta^b exactly when a = b mod d.  The class offers what the
+local model uses: the product of two elements of one order (integer
+convolution and integer reduction), and equality and hashing, which
+compare tuples.  Sums are formed on integer vectors by the caller and
+reduced once by power_sum, which takes integer coefficients of any length
+over one denominator; the constructor takes it too, so there is one
+reduction path.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -144,51 +146,14 @@ class CyclotomicNumber:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        """other as an element of this field; None for a foreign type."""
-        if isinstance(other, CyclotomicNumber):
-            if other.order != self.order:
-                raise ValueError(
-                    f"mixed root orders {self.order} and {other.order}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            nums = [0] * len(self.nums)
-            nums[0] = other.numerator
-            return _make(self.order, other.denominator, nums)
-        return None
-
-    def _add(self, other, sign: int):
-        """self + sign * other, or NotImplemented for a foreign type."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        g = gcd(self.den, other.den)
-        ma, mb = other.den // g, self.den // g
-        nums = [x * ma + sign * y * mb for x, y in zip(self.nums, other.nums)]
-        return _make(self.order, self.den * ma, nums)
-
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _make(self.order, self.den, [-x for x in self.nums])
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._add(other, 1)
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
+        if other.order != self.order:
+            raise ValueError(
+                f"mixed root orders {self.order} and {other.order}")
         return _make(self.order, self.den * other.den,
                      _mul_reduce(self.nums, other.nums, _field(self.order)))
-
-    __rmul__ = __mul__
 
     # -- comparison / display ------------------------------------------------
 

@@ -33,6 +33,10 @@ from .errors import ResourceBudgetError, SingularSystemError
 from .series import TruncatedSeries, collect_terms
 
 TRUNCATION_CAP = 12
+# local-model refuses more case-2 trials than this before any output: a
+# trial at d = 10 takes about 0.9 ms and prints about 135 bytes, so the cap
+# is about 9 s and 1.4 MB (2-vCPU VM, Python 3.11).
+TRIAL_CAP = 10**4
 
 
 class SectionDecomposition(namedtuple("SectionDecomposition", "d components")):

@@ -1,19 +1,18 @@
 """Multivariate polynomials truncated at a total-degree bound.
 
 A TruncatedSeries models a jet: an element of O/m^K, i.e. only terms of
-total degree strictly below the bound K are kept, and multiplication
-closes under the truncation.  Coefficients are exact (Fraction or
-CyclotomicNumber); equality of jets is literal equality of term maps.
-Terms are validated once, where a series is built from outside; results of
-arithmetic are valid by construction and skip the checks.  One routine,
-collect_terms, sums the terms of +, * and the ramified reassembly.
+total degree strictly below the bound K are kept.  Coefficients are exact
+(Fraction or CyclotomicNumber); equality of jets is literal equality of
+term maps.  The series carries no ring arithmetic: the local model builds
+each coefficient itself and hands the terms to collect_terms, which keeps
+those below the bound with a nonzero coefficient.  Terms are validated
+once, where a series is built from outside; collect_terms, truncate and
+with_bound build valid series and skip the checks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from itertools import chain
-from operator import add
 
 Exponents = tuple[int, ...]
 
@@ -29,15 +28,12 @@ def _make(variables, bound: int, terms) -> "TruncatedSeries":
 
 def collect_terms(variables: tuple[str, ...], bound: int,
                   pairs: Iterable[tuple[Exponents, object]]) -> "TruncatedSeries":
-    """Sum (exponents, coefficient) pairs mod m^bound: equal exponents add up
-    from their first coefficient; degrees >= bound and zero sums drop out.
-    Unchecked: exponents must fit the variables, none negative, bound >= 0."""
-    out: dict[Exponents, object] = {}
-    for exps, c in pairs:
-        if sum(exps) < bound:
-            prev = out.get(exps)
-            out[exps] = c if prev is None else prev + c
-    return _make(variables, bound, {e: c for e, c in out.items() if c != 0})
+    """The series of (exponents, coefficient) pairs mod m^bound: terms of
+    degree >= bound and zero coefficients drop out.  Unchecked: the
+    exponents must be distinct, fit the variables and be nonnegative, and
+    bound >= 0."""
+    return _make(variables, bound, {e: c for e, c in pairs
+                                    if sum(e) < bound and c != 0})
 
 
 class TruncatedSeries:
@@ -77,46 +73,7 @@ class TruncatedSeries:
         """Max total degree of a stored term; -1 for the zero series."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check_compatible(self, other: "TruncatedSeries"):
-        if self.variables != other.variables:
-            raise ValueError(
-                f"variable mismatch: {self.variables} vs {other.variables}")
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return collect_terms(self.variables, min(self.bound, other.bound),
-                             chain(self.terms.items(), other.terms.items()))
-
-    def __neg__(self):
-        return _make(self.variables, self.bound,
-                     {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
-        self._check_compatible(other)
-        bound = min(self.bound, other.bound)
-        # a product past the bound is skipped before its coefficients multiply
-        return collect_terms(self.variables, bound, (
-            (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items() if sum(e1) + sum(e2) < bound))
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, scalar) -> "TruncatedSeries":
-        return _make(self.variables, self.bound, {} if scalar == 0 else
-                     {e: scalar * c for e, c in self.terms.items()})
+    # -- truncation ----------------------------------------------------------
 
     def truncate(self, bound: int) -> "TruncatedSeries":
         """Image in O/m^bound (drop terms of total degree >= bound)."""

@@ -318,6 +318,26 @@ def test_local_model_refuses_over_cap_before_sweep(capsys):
     assert err == "budget exhausted: truncation bound 13 exceeds cap 12\n"
 
 
+def test_local_model_refuses_trials_over_cap_before_output(capsys):
+    cap = cycliccover.localmodel.TRIAL_CAP
+    for trials in (cap + 1, 10**9):
+        code, out, err = run(capsys, "local-model", "--d", "4",
+                             "--trials", str(trials))
+        assert (code, out, err) == (
+            3, "", f"budget exhausted: {trials} case-2 trials exceed cap "
+                   f"{cap}\n")
+
+
+def test_local_model_runs_trials_at_cap(capsys):
+    cap = cycliccover.localmodel.TRIAL_CAP
+    code, out, err = run(capsys, "local-model", "--d", "2",
+                         "--trials", str(cap))
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert sum('"check": "case2"' in line for line in lines) == cap == 10**4
+    assert len(lines) == 2 + cap + 1  # the sweep, the trials, case 3
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert build_parser() is build_parser()
     with pytest.raises(SystemExit):
@@ -719,7 +739,7 @@ def count_argparse(monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    cli._parsers.cache_clear()
+    build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     return calls, built
@@ -749,8 +769,9 @@ def test_plain_command_call_runs_no_argparse(capsys, monkeypatch,
 ], ids=lambda argv: argv[0])
 def test_command_call_runs_one_argparse_pass(capsys, monkeypatch,
                                              scenario_dir, argv):
-    # argv the plain path refuses goes to the command's parser alone
+    # argv the plain path refuses takes one parse_args pass: the top-level
+    # parser, which hands the tokens after the command name to its parser
     calls, _ = count_argparse(monkeypatch)
     assert main(list(argv)) == 0
     capsys.readouterr()
-    assert calls == [f"cycliccover {argv[0]}"]
+    assert calls == ["cycliccover", f"cycliccover {argv[0]}"]

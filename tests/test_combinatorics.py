@@ -62,6 +62,15 @@ def test_tau_can_be_nonpositive():
     assert tau(2, 10) < 0
 
 
+def test_tau_is_k_minus_ceiling_minus_ell_plus_two():
+    # floor(k/l) - gamma(k, l) = ceil(k/l) - 1, so tau(k, l) =
+    # k - ceil(k/l) - l + 2: the identity both lemma proofs rest on.
+    ells = range(1, 301)
+    for k in range(1, 3001):
+        assert [tau(k, l) for l in ells] == \
+            [k + (-k // l) - l + 2 for l in ells], k
+
+
 def test_sigma_q_zero_is_k():
     for k in range(0, 51):
         for d in range(2, 51):

@@ -128,6 +128,18 @@ def test_lemma_num_trivial_equality():
     assert report.max_slack == 0
 
 
+def test_lemma_num_minimum_slack_is_zero_on_every_small_box():
+    # With the exact tau, q = 1 is the worst q, every part of its slack is
+    # >= 0, and one head pair with an empty tail has slack 0: so each of
+    # the 162 boxes below has minimum slack exactly 0.
+    boxes = list(itertools.product(
+        range(1, 4), range(1, 7), range(2, 5), range(1, 4)))
+    assert len(boxes) == 162
+    for box in boxes:
+        report = check_lemma_num(*box)
+        assert (report.passed, report.max_slack) == (True, 0), box
+
+
 def test_lemma_num_hand_instance():
     # K = (3, 3), ell = (2, 2): 1 + 1 <= tau(6, 2) = 3.
     assert tau(3, 2) + tau(3, 2) == 2

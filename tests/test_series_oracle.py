@@ -1,12 +1,14 @@
 """Independent oracle: sympy polynomials in u1, u2, with the terms of total
-degree >= bound dropped, agree with TruncatedSeries +, * and truncate."""
+degree >= bound dropped, agree with TruncatedSeries.truncate and
+collect_terms, and the ramified split sums back to its jet in sympy."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycliccover.series import TruncatedSeries
+from cycliccover.localmodel import decompose_jet_ramified
+from cycliccover.series import TruncatedSeries, collect_terms
 
 sympy = pytest.importorskip("sympy")
 U1, U2 = sympy.symbols("u1 u2")
@@ -35,11 +37,18 @@ def series(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(series(), series(), st.integers(0, 8))
-def test_arithmetic_matches_sympy(a, b, t):
-    bound = min(a.bound, b.bound)
-    x, y = as_sympy(a), as_sympy(b)
-    assert (a + b).terms == truncated_terms(x + y, bound)
-    assert (a - b).terms == truncated_terms(x - y, bound)
-    assert (a * b).terms == truncated_terms(x * y, bound)
+@given(series(), st.integers(0, 8), st.integers(1, 4))
+def test_truncation_and_ramified_split_match_sympy(a, t, d):
+    x = as_sympy(a)
     assert a.truncate(t).terms == truncated_terms(x, t)
+    assert collect_terms(U, t, a.terms.items()).terms == truncated_terms(x, t)
+    # sum_q u1^q * s_q(v1 -> u1^d) is the jet, and s_q only holds the
+    # exponents of u1 that are q mod d
+    parts = decompose_jet_ramified(a, d)
+    assert sympy.expand(sum((U1 ** q * as_sympy(p).subs(U1, U1 ** d)
+                             for q, p in enumerate(parts)),
+                            sympy.Integer(0)) - x) == 0
+    for q, p in enumerate(parts):
+        assert truncated_terms(U1 ** q * as_sympy(p).subs(U1, U1 ** d),
+                               a.bound) == {
+            e: c for e, c in a.terms.items() if e[0] % d == q}
