@@ -165,7 +165,8 @@ def load_scenario_config(path: str):
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if raw.get("schema") != CONFIG_SCHEMA_VERSION:
+    schema = raw.get("schema")  # 1.0 and true compare equal to 1
+    if type(schema) is not int or schema != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"config field 'schema' must be {CONFIG_SCHEMA_VERSION}")
     d = _require_int(raw, "d")

@@ -4,13 +4,13 @@ An element is stored in one canonical form: integer numerators
 (nums[0], ..., nums[phi(d) - 1]) over one positive integer denominator den,
 with gcd(den, *nums) == 1, standing for sum_i (nums[i] / den) * zeta^i.
 The polynomial is reduced modulo the monic d-th cyclotomic polynomial, so
-zeta^a == zeta^b exactly when a = b mod d.  The class offers what the
-local model uses: the product of two elements of one order (integer
-convolution and integer reduction), and equality and hashing, which
-compare tuples.  Sums are formed on integer vectors by the caller and
-reduced once by power_sum, which takes integer coefficients of any length
-over one denominator; the constructor takes it too, so there is one
-reduction path.  No floating point anywhere.
+zeta^a == zeta^b exactly when a = b mod d.  The class offers equality and
+hashing, which compare tuples, and the product of two elements of one
+order (integer convolution and integer reduction) for the tests'
+references; the program multiplies no elements.  Its values are formed
+on integer vectors and reduced once by power_sum, which takes integer
+coefficients of any length over one denominator; the constructor takes
+it too, so there is one reduction path.  No floating point anywhere.
 """
 
 from __future__ import annotations

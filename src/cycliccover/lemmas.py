@@ -254,18 +254,18 @@ def check_lemma_num(
     counterexamples: list[dict] = []
 
     for m in range(1, max_m + 1):
+        # (head, sum of its K_i, max of its l_i, sum of its tau(K_i, l_i))
         if m == 1:  # a budget cut may come long before the last pair
-            heads = ((((K, l),), tau(K, l)) for K in range(1, K_reach + 1)
+            heads = ((((K, l),), K, l, tau(K, l)) for K in range(1, K_reach + 1)
                      for l in range(2, max_ell + 1))
         else:
             if m == 2:  # each pair cost the m = 1 walk an instance
                 head_tau = {(K, l): tau(K, l) for K in range(1, K_reach + 1)
                             for l in range(2, max_ell + 1)}
-            heads = ((head, sum(head_tau[pair] for pair in head)) for head
+            heads = ((head, sum(K for K, _ in head), max(l for _, l in head),
+                      sum(map(head_tau.__getitem__, head))) for head
                      in itertools.combinations_with_replacement(head_tau, m))
-        for head, head_sum in heads:
-            head_K = sum(K for K, _ in head)
-            ell = max(l for _, l in head)
+        for head, head_K, ell, head_sum in heads:
             rhs_row = rhs_tau.get(ell, ())
             in_row = len(rhs_row) - head_K  # rhs_row covers tail_K < in_row
             for n in range(max_m - m + 1):

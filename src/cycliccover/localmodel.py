@@ -8,10 +8,10 @@ s_q) the constructions used to prescribe jets become exact linear algebra
 over Q(zeta_d):
 
   * away from the ramification locus, separating the points of one fiber
-    reduces to a Vandermonde system in the powers of zeta_d
-    (vandermonde_sweep / case2_construct): a power of zeta_d rotates integer
-    vectors indexed by exponents mod d, a division by 1 - zeta_d^m is one
-    running sum per cycle, and each value is reduced once;
+    is a Vandermonde system in the powers of zeta_d, whose inverse columns
+    (vandermonde_sweep, case2_construct) _node_products builds on integer
+    vectors indexed by exponents mod d: zeta_d rotates them, 1 - zeta_d^m
+    divides by one running sum per cycle, and each value is reduced once;
   * at a ramification point the covering is u_1 -> u_1^d = v_1 and a jet
     splits by the residue of the u_1-exponent mod d
     (decompose_jet_ramified / case3_construct).
@@ -99,17 +99,25 @@ def _rotated_sum(d: int, terms) -> tuple[int, list[int]]:
 
 def vandermonde_sweep(d: int) -> list[tuple[CyclotomicNumber, ...]]:
     """For l = 1..d, the alphas of vandermonde_residual's system at the nodes
-    0..l-1, the coefficients of prod_{0<j<l} (x - zeta^j) / (1 - zeta^j).  Step
-    l multiplies by x - zeta^l (a rotation) and divides by 1 - zeta^l through
-    _over_one_minus: O(l * d) integer steps, one reduction mod Phi_d per
-    alpha."""
-    steps = [(1, [[1] + [0] * (d - 1)])]
-    for l in range(1, d):
-        den, coeffs = steps[-1]
-        e, coeffs = _over_one_minus(d, l, _times_linear(coeffs, l))
-        steps.append((den * e, coeffs))
+    0..l-1: the prefixes of _node_products at the offsets 1..d-1, one
+    reduction mod Phi_d per alpha."""
     return [tuple(power_sum(d, den, c) for c in coeffs)
-            for den, coeffs in steps]
+            for den, coeffs in _node_products(d, range(1, d))]
+
+
+def _node_products(d: int, offsets):
+    """For each prefix of offsets (nonzero residues mod d), the empty one
+    first, (den, coeffs): coeffs[k] / den is the coefficient of x^k in
+    prod (x - zeta^b) / (1 - zeta^b) over the prefix, an integer vector
+    indexed by exponents mod d.  A step multiplies by x - zeta^b (a
+    rotation) and divides by 1 - zeta^b through _over_one_minus: O(l * d)
+    integer steps at the l-th offset, no field product."""
+    den, coeffs = 1, [[1] + [0] * (d - 1)]
+    yield den, coeffs
+    for b in offsets:
+        e, coeffs = _over_one_minus(d, b, _times_linear(coeffs, b))
+        den *= e
+        yield den, coeffs
 
 
 def _over_one_minus(d: int, m: int, vectors) -> tuple[int, list[list[int]]]:
@@ -168,25 +176,17 @@ def _check_fiber(d: int, nodes: list[int]) -> None:
             f"orbit indices {nodes} not distinct mod {d}")
 
 
-def _lagrange(d: int, nodes: Sequence[int], r: int) -> list[CyclotomicNumber]:
-    """Coefficients, constant first, of prod_{j != r} (x - x_j) / (x_r - x_j)
-    with x_j = zeta^nodes[j]: column r of M^-1, M the Vandermonde matrix.
-    The nodes, residues mod d, must pass _check_fiber.
-
-    Numerator coefficients are kept as integer vectors indexed by exponents
-    mod d, on which x_j acts as a rotation.  The reciprocal denominator is
-    the product of the factors zeta^-nodes[r] / (1 - zeta^(nodes[j] -
-    nodes[r])), each a division by _over_one_minus.  Each vector is reduced
-    mod Phi_d once, at the end."""
-    one = [1] + [0] * (d - 1)
-    coeffs, recip, den = [one], one, 1
-    for j, xj in enumerate(nodes):
-        if j != r:
-            coeffs = _times_linear(coeffs, xj)
-            e, (recip,) = _over_one_minus(d, (xj - nodes[r]) % d, [recip])
-            den *= e
-    recip = power_sum(d, den, _rotate(recip, -(len(nodes) - 1) * nodes[r] % d))
-    return [power_sum(d, 1, c) * recip for c in coeffs]
+def _lagrange(d: int, nodes: Sequence[int],
+             r: int) -> tuple[int, list[list[int]]]:
+    """Column r of M^-1, M the Vandermonde matrix at x_j = zeta^nodes[j]
+    (residues mod d that pass _check_fiber): (den, coeffs), coeffs[k] / den
+    the unreduced coefficient of x^k in prod_{j != r} (x - x_j) / (x_r - x_j).
+    With x = x_r * y this is the full _node_products at the offsets
+    nodes[j] - nodes[r], coefficient k rotated by -k * nodes[r]."""
+    x_r = nodes[r]
+    *_, (den, coeffs) = _node_products(
+        d, [(x - x_r) % d for j, x in enumerate(nodes) if j != r])
+    return den, [_rotate(c, -k * x_r % d) for k, c in enumerate(coeffs)]
 
 
 def _times_linear(coeffs: list[list[int]], m: int) -> list[list[int]]:
@@ -233,11 +233,11 @@ def case2_construct(d: int, betas: Sequence[int],
         for exps, coeff in jet.terms.items():
             if sum(exps) < orders[i]:
                 by_exps.setdefault(exps, []).append((i, *_parts(coeff, d)))
-    columns = [_lagrange(d, nodes, i) for i in range(l)]
-    # jet i's sum_j x_j zeta^j / den times alpha_q^(i) = columns[i][q]
+    dens, columns = zip(*[_lagrange(d, nodes, i) for i in range(l)])
+    # jet i's sum_j x_j zeta^j / den times alpha_q^(i) = columns[i][q] / dens[i]
     components = [collect_terms(vars0, bound, (
         (exps, power_sum(d, *_rotated_sum(d, [
-            (j, x, den * columns[i][q].den, columns[i][q].nums)
+            (j, x, den * dens[i], columns[i][q])
             for i, den, nums in terms for j, x in enumerate(nums) if x])))
         for exps, terms in by_exps.items())) for q in range(l)]
     components += [collect_terms(vars0, bound, ()) for _ in range(l, d)]

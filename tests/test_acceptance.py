@@ -24,7 +24,6 @@ from cycliccover.engine import (
 )
 from cycliccover.lemmas import check_lemma_alg, check_lemma_num
 from cycliccover.localmodel import (
-    _lagrange,
     case3_construct,
     decompose_jet_ramified,
     reassemble_ramified,
@@ -34,6 +33,7 @@ from cycliccover.localmodel import (
 from cycliccover.series import TruncatedSeries
 
 from test_combinatorics import D15_ROWS
+from test_localmodel import lagrange_column
 
 
 def report(n, name):
@@ -110,7 +110,7 @@ def test_criterion_08_local_model_constructions():
     for d in range(1, 9):
         for size in range(0, d):
             for betas in itertools.combinations(range(1, d), size):
-                alphas = _lagrange(d, [0, *betas], 0)
+                alphas = lagrange_column(d, [0, *betas], 0)
                 assert all(r.is_zero()
                            for r in vandermonde_residual(d, list(betas), alphas))
                 solves += 1

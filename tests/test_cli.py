@@ -247,6 +247,16 @@ def test_criteria_rejects_bad_schema(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("schema", ["1.0", "true", '"1"'])
+def test_criteria_rejects_schema_other_than_integer_one(tmp_path, capsys,
+                                                        schema):
+    # 1.0 and true compare equal to 1; strict JSON takes the integer only
+    path = write_config(
+        tmp_path, '{"schema": %s, "d": 2, "profile": {}}' % schema)
+    assert run(capsys, "criteria", "--config", path) == (
+        2, "", "config error: config field 'schema' must be 1\n")
+
+
 def test_criteria_rejects_float(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({

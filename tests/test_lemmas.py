@@ -140,6 +140,67 @@ def test_lemma_num_minimum_slack_is_zero_on_every_small_box():
         assert (report.passed, report.max_slack) == (True, 0), box
 
 
+def ceil_div(a, b):
+    return -(-a // b)
+
+
+def test_lemma_num_q1_slack_is_a_sum_of_nonnegative_parts():
+    # With tau(k, l) = k - ceil(k/l) - l + 2, the q = 1 slack of a head
+    # (K_i, l_i), L = max l_i, and a tail K_j is the sum of two parts, each
+    # >= 0: the ceilings, since ceil is subadditive and each l_i and 2 is
+    # at most L; and l_i - 2 over the head pairs but one that attains L.
+    # Checked against tau on each of the 2,841 instances of the box.
+    pairs = [(K, l) for K in range(1, 7) for l in range(2, 5)]
+    slacks = []
+    for m in range(1, 4):
+        for head in itertools.combinations_with_replacement(pairs, m):
+            L = max(l for _, l in head)
+            for tail in itertools.chain.from_iterable(
+                    itertools.combinations_with_replacement(range(1, 7), n)
+                    for n in range(4 - m)):
+                K = sum(Ki for Ki, _ in head) + sum(tail)
+                slack = (tau(K, L) - sum(tau(Ki, l) for Ki, l in head)
+                         - sum(Kj // 2 for Kj in tail))
+                ceilings = (sum(ceil_div(Ki, l) for Ki, l in head)
+                            + sum(ceil_div(Kj, 2) for Kj in tail)
+                            - ceil_div(K, L))
+                widths = sum(l - 2 for _, l in head) - (L - 2)
+                assert slack == ceilings + widths, (head, tail)
+                assert ceilings >= 0 and widths >= 0, (head, tail)
+                slacks.append(slack)
+    assert len(slacks) == 2841
+    report = check_lemma_num(3, 6, 4, 1)
+    assert (report.instances_checked, report.max_slack) == (2841, min(slacks))
+
+
+def test_lemma_alg_colength_within_the_general_bound():
+    # In any local ring m / (I_2 cap ... cap I_ell) embeds in the sum of
+    # the m / I_i, so the colength is at most 1 + sum_{i>=2} (c_i - 1) =
+    # k - c_1 - ell + 2, which tau(k, ell) exceeds by c_1 - ceil(k/ell) >= 0.
+    # Checked on all 339 slot tuples of the 2-variable model with
+    # 2 <= ell <= 5 and k <= ell + 6, each colength a count of cells.
+    tuples = 0
+    for ell in range(2, 6):
+        for k in range(ell, ell + 7):
+            largest = 0
+            for c in itertools.combinations_with_replacement(
+                    range(k, 0, -1), ell):
+                if sum(c) != k:
+                    continue
+                general = 1 + sum(ci - 1 for ci in c[1:])
+                assert general == k - c[0] - ell + 2
+                assert tau(k, ell) - general == c[0] - ceil_div(k, ell) >= 0
+                for rest in itertools.product(*map(enumerate_staircases, c[1:])):
+                    observed = len({(i, j) for heights in rest
+                                    for i, h in enumerate(heights)
+                                    for j in range(h)})
+                    assert observed <= general, (c, rest)
+                    largest = max(largest, observed)
+                    tuples += 1
+            assert check_lemma_alg(k, ell).max_slack == tau(k, ell) - largest
+    assert tuples == 339
+
+
 def test_lemma_num_hand_instance():
     # K = (3, 3), ell = (2, 2): 1 + 1 <= tau(6, 2) = 3.
     assert tau(3, 2) + tau(3, 2) == 2

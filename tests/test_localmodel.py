@@ -105,6 +105,12 @@ def multiply_decompositions(a, b):
         series_sum(d, U, bound, pairs) for pairs in out))
 
 
+def lagrange_column(d, nodes, r):
+    """Column r of the inverse Vandermonde matrix, reduced to field elements."""
+    den, vectors = _lagrange(d, nodes, r)
+    return [power_sum(d, den, v) for v in vectors]
+
+
 def lagrange_residual(d, nodes, r, alphas):
     """Row j of the Vandermonde system at the nodes, minus delta(j, r): a
     sum of CyclotomicNumber products, the reference for the rotated and
@@ -138,24 +144,32 @@ def test_vandermonde_full_fiber_is_dft():
 
 
 def test_vandermonde_sweep_matches_lagrange_columns():
-    # Column 0 at the nodes 0..l-1, built by inverting the denominator.
+    # Each sweep step is column 0 at the nodes 0..l-1: checked by field
+    # products, since the sweep and _lagrange share one kernel.
     for d in range(1, 13):
         sweep = vandermonde_sweep(d)
-        assert sweep == [tuple(_lagrange(d, list(range(l)), 0))
-                         for l in range(1, d + 1)]
+        assert len(sweep) == d
+        for l, alphas in enumerate(sweep, 1):
+            assert len(alphas) == l
+            for r in lagrange_residual(d, list(range(l)), 0, alphas):
+                assert r.is_zero()
 
 
 def test_vandermonde_other_rhs_indices():
     # Every Lagrange column, not only the column 0 that the sweep
-    # returns: 1,024 solves for d <= 8.
-    for d in range(1, 9):
-        for size in range(0, d):
-            for betas in itertools.combinations(range(1, d), size):
-                nodes = [0, *betas]
-                for rhs in range(size + 1):
-                    alphas = _lagrange(d, nodes, rhs)
-                    for r in lagrange_residual(d, nodes, rhs, alphas):
-                        assert r.is_zero()
+    # returns: 1,024 solves for d <= 8, and 25 seeded node sets at each of
+    # d = 9 and 10, where an offset sharing a factor with d (3 | 9, 2 or
+    # 5 | 10) makes _over_one_minus walk several cycles.
+    rng = random.Random(9010)
+    fibers = [(d, [0, *betas]) for d in range(1, 9) for size in range(d)
+              for betas in itertools.combinations(range(1, d), size)]
+    fibers += [(d, rng.sample(range(d), rng.randint(2, d)))
+               for d in (9, 10) for _ in range(25)]
+    for d, nodes in fibers:
+        for rhs in range(len(nodes)):
+            alphas = lagrange_column(d, nodes, rhs)
+            for r in lagrange_residual(d, nodes, rhs, alphas):
+                assert r.is_zero()
 
 
 def test_vandermonde_residual_matches_product_reference():
@@ -311,7 +325,7 @@ def reference_case2(d, betas, jets, orders):
     pairs = [[] for _ in range(d)]
     for i, jet in enumerate(jets):
         lifted = jet.truncate(min(jet.bound, orders[i])).with_bound(bound)
-        for q, alpha in enumerate(_lagrange(d, nodes, i)):
+        for q, alpha in enumerate(lagrange_column(d, nodes, i)):
             pairs[q] += scale(d, lifted, alpha).terms.items()
     return tuple(series_sum(d, jets[0].variables, bound, p) for p in pairs)
 
