@@ -215,11 +215,16 @@ def check_lemma_num(
     tails of each length are listed once as (value, multiplicity) runs with
     their sums, and witness dicts are built for counterexamples only, so a
     call costs O(#heads * #tails) integer steps rather than O(#instances)
-    tau calls.  Tables past NUM_TABLE_CAP are not built: those tau values
-    are computed as the search reaches them, and those tails are walked in
-    O(1) steps whatever their length.  The head pairs are listed only
-    at m = 2, so nothing the budget keeps the walk from reaching is built,
-    and a huge box at a small budget stays small.
+    tau calls.  A head of m pairs extends an (m-1)-prefix from _prefixes by
+    one pair at or after the prefix's last, in combinations_with_replacement
+    order, and adds that pair's K, l and tau to the prefix's running sums:
+    a head costs O(1) steps, and its pairs are listed only in a
+    counterexample.  Tables past NUM_TABLE_CAP are not built: those tau
+    values and head pairs are computed as the search reaches them, and
+    those tails are walked in O(1) steps whatever their length.  The head
+    pairs are listed when m = 2 starts, up to the cap, so a huge box at any
+    budget holds at most NUM_TABLE_CAP of each table; every pair has cost
+    the m = 1 walk an instance by then, but the budget may be spent.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):
@@ -249,65 +254,83 @@ def check_lemma_num(
             break
         tables.append([(tuple(runs), tail_K, tail_q1)
                        for runs, tail_K, tail_q1 in _tails(K_reach, n)])
+    # Head pair i is (K, l) = (i // width + 1, i % width + 2): pairs in
+    # K-major order, so multisets of indices walk in the order of
+    # combinations_with_replacement over the pairs.
+    width = max_ell - 1
+    n_pairs = K_reach * width
+    pairs: list = []  # pair(i) for i < NUM_TABLE_CAP, listed when m = 2 starts
+
+    def pair(i):  # (K, l, tau(K, l)) of pair i
+        if i < len(pairs):
+            return pairs[i]
+        K, l = divmod(i, width)
+        return K + 1, l + 2, tau(K + 1, l + 2)
+
+    def pairs_from(start):  # pair(i) for start <= i < n_pairs
+        rest = range(max(start, len(pairs)), n_pairs)
+        return itertools.chain(itertools.islice(pairs, start, None),
+                               map(pair, rest))
+
     checked = 0
     min_slack: int | None = None
     counterexamples: list[dict] = []
 
     for m in range(1, max_m + 1):
-        # (head, sum of its K_i, max of its l_i, sum of its tau(K_i, l_i))
-        if m == 1:  # a budget cut may come long before the last pair
-            heads = ((((K, l),), K, l, tau(K, l)) for K in range(1, K_reach + 1)
-                     for l in range(2, max_ell + 1))
-        else:
-            if m == 2:  # each pair cost the m = 1 walk an instance
-                head_tau = {(K, l): tau(K, l) for K in range(1, K_reach + 1)
-                            for l in range(2, max_ell + 1)}
-            heads = ((head, sum(K for K, _ in head), max(l for _, l in head),
-                      sum(map(head_tau.__getitem__, head))) for head
-                     in itertools.combinations_with_replacement(head_tau, m))
-        for head, head_K, ell, head_sum in heads:
-            rhs_row = rhs_tau.get(ell, ())
-            in_row = len(rhs_row) - head_K  # rhs_row covers tail_K < in_row
-            for n in range(max_m - m + 1):
-                steps = max_q if n else 1
-                for tail, tail_K, tail_q1 in (
-                        tables[n] if n < len(tables) else _tails(K_reach, n)):
-                    rhs = (rhs_row[head_K + tail_K] if tail_K < in_row
-                           else tau(head_K + tail_K, ell))
-                    slack = rhs - head_sum - tail_q1
-                    if slack >= 0 and checked + steps <= budget:
-                        checked += steps
-                        if min_slack is None or slack < min_slack:
-                            min_slack = slack
-                        continue
-                    for q in range(1, steps + 1):
-                        lhs = head_sum + sum(c * (Ki // (q + 1))
-                                             for Ki, c in tail)
-                        checked += 1
-                        if checked > budget:
-                            raise ResourceBudgetError(
-                                f"instance budget {budget} exceeded",
-                                partial_report=LemmaReport(
-                                    lemma_id="num",
-                                    parameter_box=box,
-                                    instances_checked=checked - 1,
-                                    max_slack=min_slack,
-                                    counterexamples=counterexamples,
-                                    notes=("partial: budget exhausted",),
-                                    partial=True,
-                                ),
-                            )
-                        if min_slack is None or rhs - lhs < min_slack:
-                            min_slack = rhs - lhs
-                        if lhs > rhs:
-                            counterexamples.append({
-                                "head": [list(p) for p in head],
-                                "tail": [Ki for Ki, c in tail
-                                         for _ in range(c)],
-                                "q": q,
-                                "lhs": lhs,
-                                "rhs": rhs,
-                            })
+        if m == 2:  # each pair cost the m = 1 walk an instance
+            pairs += [pair(i) for i in range(min(n_pairs, NUM_TABLE_CAP))]
+        walks = [(n, max_q if n else 1, tables[n] if n < len(tables) else None)
+                 for n in range(max_m - m + 1)]
+        for prefix, start, pre_K, pre_ell, pre_sum in _prefixes(
+                m - 1, pair, n_pairs - 1):
+            for K, l, t in pairs_from(start):
+                head_K = pre_K + K
+                ell = l if l > pre_ell else pre_ell
+                head_sum = pre_sum + t
+                rhs_row = rhs_tau.get(ell, ())
+                in_row = len(rhs_row) - head_K  # covers tail_K < in_row
+                for n, steps, table in walks:
+                    for tail, tail_K, tail_q1 in (
+                            _tails(K_reach, n) if table is None else table):
+                        # a single pair's own tau is its rhs with no tail
+                        rhs = (rhs_row[head_K + tail_K] if tail_K < in_row
+                               else tau(head_K + tail_K, ell)
+                               if tail_K or prefix else head_sum)
+                        slack = rhs - head_sum - tail_q1
+                        if slack >= 0 and checked + steps <= budget:
+                            checked += steps
+                            if min_slack is None or slack < min_slack:
+                                min_slack = slack
+                            continue
+                        for q in range(1, steps + 1):
+                            lhs = head_sum + sum(c * (Ki // (q + 1))
+                                                 for Ki, c in tail)
+                            checked += 1
+                            if checked > budget:
+                                raise ResourceBudgetError(
+                                    f"instance budget {budget} exceeded",
+                                    partial_report=LemmaReport(
+                                        lemma_id="num",
+                                        parameter_box=box,
+                                        instances_checked=checked - 1,
+                                        max_slack=min_slack,
+                                        counterexamples=counterexamples,
+                                        notes=("partial: budget exhausted",),
+                                        partial=True,
+                                    ),
+                                )
+                            if min_slack is None or rhs - lhs < min_slack:
+                                min_slack = rhs - lhs
+                            if lhs > rhs:
+                                counterexamples.append({
+                                    "head": [[i // width + 1, i % width + 2]
+                                             for i in prefix] + [[K, l]],
+                                    "tail": [Ki for Ki, c in tail
+                                             for _ in range(c)],
+                                    "q": q,
+                                    "lhs": lhs,
+                                    "rhs": rhs,
+                                })
 
     return LemmaReport(
         lemma_id="num",
@@ -317,6 +340,37 @@ def check_lemma_num(
         counterexamples=counterexamples,
         notes=("reduced form: rhs is tau(sum K_i, max l_i over the head)",),
     )
+
+
+def _prefixes(size: int, pair, last: int):
+    """(indices, last index, K sum, max l, tau sum) for each size-multiset of
+    the pair indices 0..last, in combinations_with_replacement order, where
+    pair(i) is (K, l, tau(K, l)) of pair i; size 0 gives one empty prefix,
+    whose last index is 0.
+
+    indices is one list, changed in place for the next prefix, and sums[j]
+    holds the running sums of indices[:j].  The next prefix raises the
+    rightmost index below last by one and sets the indices after it equal
+    to it, so only the sums from that level on are refilled: a prefix costs
+    O(1) steps on average whatever size is.
+    """
+    indices = [0] * size
+    sums = [(0, 0, 0)] * (size + 1)
+    i = j = 0
+    while True:
+        if j < size:
+            K, l, t = pair(i)
+            for k in range(j, size):
+                indices[k] = i
+                pre_K, pre_ell, pre_sum = sums[k]
+                sums[k + 1] = pre_K + K, max(pre_ell, l), pre_sum + t
+        yield indices, i, *sums[size]
+        j = size - 1
+        while j >= 0 and indices[j] == last:
+            j -= 1
+        if j < 0:
+            return
+        i = indices[j] + 1
 
 
 def _tails(max_K: int, n: int):

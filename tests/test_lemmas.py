@@ -14,6 +14,7 @@ from cycliccover.lemmas import (
     DEFAULT_TUPLE_BUDGET,
     LemmaReport,
     _partitions,
+    _prefixes,
     _tails,
     check_lemma_alg,
     check_lemma_num,
@@ -437,6 +438,9 @@ def assert_num_matches_reference(box, budget):
 
 GRID = list(itertools.product(range(1, 4), range(1, 7), range(2, 6),
                               range(1, 4)))
+# max_m 4 and 5: heads of three pairs or more extend prefixes of two or more
+DEEP_GRID = list(itertools.product(range(4, 6), range(1, 4), range(2, 5),
+                                   (1, 3)))
 BUDGETS = (0, 1, 7, 50, 400, DEFAULT_TUPLE_BUDGET)
 
 # tau bent so that the inequality fails: some failing tails fail at q = 1
@@ -448,7 +452,7 @@ BENT_TAUS = {
 
 
 def test_lemma_num_matches_reference_on_grid():
-    for box in GRID:
+    for box in GRID + DEEP_GRID:
         for budget in BUDGETS:
             assert_num_matches_reference(box, budget)
 
@@ -456,12 +460,14 @@ def test_lemma_num_matches_reference_on_grid():
 @pytest.mark.parametrize("bent", sorted(BENT_TAUS))
 def test_lemma_num_matches_reference_with_counterexamples(monkeypatch, bent):
     monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS[bent])
-    failing = 0
-    for box in GRID:
+    failing = deep_failing = 0
+    for box in GRID + DEEP_GRID:
         for budget in BUDGETS:
             complete, _, record = assert_num_matches_reference(box, budget)
             failing += complete and not record["passed"]
-    assert failing > 0
+            deep_failing += complete and any(
+                len(c["head"]) >= 4 for c in record["counterexamples"])
+    assert failing > 0 and deep_failing > 0
     # Every cut point of a box whose failing tails include ones that fail
     # at q = 1 but not at q = max_q = 3.
     box = (2, 4, 3, 3)
@@ -470,6 +476,19 @@ def test_lemma_num_matches_reference_with_counterexamples(monkeypatch, bent):
               for c in record["counterexamples"]}
     assert any(q == 1 and tail != "[]" and (head, tail, 3) not in failed
                for head, tail, q in failed)
+    for budget in range(record["instances_checked"] + 1):
+        assert_num_matches_reference(box, budget)
+
+
+def test_lemma_num_matches_reference_at_every_cut_of_a_four_pair_box(
+        monkeypatch):
+    # Counterexamples with four-pair heads, so cuts land among heads built
+    # from three-pair prefixes as well as before and after them.
+    monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS["minus_one_from_K_7"])
+    box = (4, 2, 3, 2)
+    _, _, record = num_outcome(reference_lemma_num, box, DEFAULT_TUPLE_BUDGET)
+    assert record["instances_checked"] == 321
+    assert any(len(c["head"]) == 4 for c in record["counterexamples"])
     for budget in range(record["instances_checked"] + 1):
         assert_num_matches_reference(box, budget)
 
@@ -499,6 +518,45 @@ def test_lemma_num_builds_nothing_the_walk_does_not_reach(monkeypatch):
         tracemalloc.stop()
     assert exc_info.value.partial_report.instances_checked == 30000
     assert peak < 2**20, peak  # 3 KB here; 6 MB with the tables built
+
+
+def test_lemma_num_head_pairs_stay_under_the_cap(monkeypatch):
+    # 20,000 head pairs, two instances each at m = 1, use the whole budget,
+    # so the walk reaches m = 2 with none left: only the first 1,000 pairs
+    # are listed, and a pair past them is computed when the walk reaches
+    # it.  Listing every pair took 3.1 MB here.
+    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError) as exc_info:
+            check_lemma_num(2, 1, 20001, 1, budget=40000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc_info.value.partial_report.instances_checked == 40000
+    assert peak < 2**19, peak  # 137 KB here
+
+
+@pytest.mark.parametrize("max_K, max_ell", [(1, 2), (1, 4), (2, 3), (3, 2),
+                                            (2, 4)])
+def test_heads_walk_combinations_with_replacement(max_K, max_ell):
+    # check_lemma_num extends each prefix by every pair from the prefix's
+    # last on; pair i is (K, l) = (i // width + 1, i % width + 2).
+    width = max_ell - 1
+    pairs = [(K, l, tau(K, l)) for K in range(1, max_K + 1)
+             for l in range(2, max_ell + 1)]
+    for m in range(1, 6):
+        walked = [
+            ([[j // width + 1, j % width + 2] for j in indices + [i]],
+             pre_K + K, max(pre_ell, l), pre_sum + t)
+            for indices, start, pre_K, pre_ell, pre_sum
+            in _prefixes(m - 1, pairs.__getitem__, len(pairs) - 1)
+            for i, (K, l, t) in enumerate(pairs[start:], start)]
+        assert walked == [
+            ([[K, l] for K, l, _ in head], sum(K for K, _, _ in head),
+             max(l for _, l, _ in head), sum(t for _, _, t in head))
+            for head in itertools.combinations_with_replacement(pairs, m)], \
+            (max_K, max_ell, m)
 
 
 @pytest.mark.parametrize("max_K", range(1, 6))
