@@ -221,10 +221,12 @@ def check_lemma_num(
     a head costs O(1) steps, and its pairs are listed only in a
     counterexample.  Tables past NUM_TABLE_CAP are not built: those tau
     values and head pairs are computed as the search reaches them, and
-    those tails are walked in O(1) steps whatever their length.  The head
-    pairs are listed when m = 2 starts, up to the cap, so a huge box at any
-    budget holds at most NUM_TABLE_CAP of each table; every pair has cost
-    the m = 1 walk an instance by then, but the budget may be spent.
+    those tails are walked in O(1) steps whatever their length, one length
+    at a time as a head reaches it, so the lengths past the tables cost no
+    memory at any max_m.  The head pairs are listed when m = 2 starts, up
+    to the cap, so a huge box at any budget holds at most NUM_TABLE_CAP of
+    each table; every pair has cost the m = 1 walk an instance by then,
+    but the budget may be spent.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):
@@ -237,18 +239,21 @@ def check_lemma_num(
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
     # Each m = 1 head and each tail costs an instance, so the walk is cut
-    # before pair index budget + 1 (l <= budget + 2) and any K_i > budget + 1.
+    # before pair index budget + 1 (l <= budget + 2), any K_i > budget + 1
+    # and any instance of more than budget + 1 pairs (the first head walks
+    # every shorter tail length first).
     K_reach = min(max_K, budget + 1)
     top_ell = min(max_ell, budget + 2)
-    # rhs_tau[l][K] = tau(K, l) for K <= max_m * K_reach, within the cap;
+    r_reach = min(max_m, budget + 1)
+    # rhs_tau[l][K] = tau(K, l) for K <= r_reach * K_reach, within the cap;
     # index 0 is never read (K >= m >= 1), and no row is built if K_top = 0.
-    K_top = min(max_m * K_reach, NUM_TABLE_CAP // (top_ell - 1))
+    K_top = min(r_reach * K_reach, NUM_TABLE_CAP // (top_ell - 1))
     rhs_tau = {l: [0] + [tau(K, l) for K in range(1, K_top + 1)]
                for l in range(2, top_ell + 1)} if K_top else {}
     # tables[n] = _tails(K_reach, n), for the tail lengths that fit the cap.
     tables: list[list] = []
     parts = 0
-    for n in range(max_m):
+    for n in range(r_reach):
         parts += math.comb(K_reach + n - 1, n) * n
         if parts > NUM_TABLE_CAP:
             break
@@ -279,8 +284,6 @@ def check_lemma_num(
     for m in range(1, max_m + 1):
         if m == 2:  # each pair cost the m = 1 walk an instance
             pairs += [pair(i) for i in range(min(n_pairs, NUM_TABLE_CAP))]
-        walks = [(n, max_q if n else 1, tables[n] if n < len(tables) else None)
-                 for n in range(max_m - m + 1)]
         for prefix, start, pre_K, pre_ell, pre_sum in _prefixes(
                 m - 1, pair, n_pairs - 1):
             for K, l, t in pairs_from(start):
@@ -289,9 +292,10 @@ def check_lemma_num(
                 head_sum = pre_sum + t
                 rhs_row = rhs_tau.get(ell, ())
                 in_row = len(rhs_row) - head_K  # covers tail_K < in_row
-                for n, steps, table in walks:
-                    for tail, tail_K, tail_q1 in (
-                            _tails(K_reach, n) if table is None else table):
+                for n in range(max_m - m + 1):
+                    steps = max_q if n else 1
+                    for tail, tail_K, tail_q1 in (tables[n] if n < len(tables)
+                                                  else _tails(K_reach, n)):
                         # a single pair's own tau is its rhs with no tail
                         rhs = (rhs_row[head_K + tail_K] if tail_K < in_row
                                else tau(head_K + tail_K, ell)

@@ -537,6 +537,22 @@ def test_lemma_num_head_pairs_stay_under_the_cap(monkeypatch):
     assert peak < 2**19, peak  # 137 KB here
 
 
+def test_lemma_num_huge_max_m_stays_small_at_a_small_budget():
+    # Each tail length costs the first head an instance, so the budget cuts
+    # the walk after about 1,000 lengths: neither the tail walks nor the
+    # tau rows may grow with max_m.  Listing a walk per tail length took
+    # over 100 MB at max_m = 10^6, and a tau row up to max_m took 4.8 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError) as exc_info:
+            check_lemma_num(10**8, 1, 2, 1, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc_info.value.partial_report.instances_checked == 1000
+    assert peak < 2**20, peak  # 76 KB here
+
+
 @pytest.mark.parametrize("max_K, max_ell", [(1, 2), (1, 4), (2, 3), (3, 2),
                                             (2, 4)])
 def test_heads_walk_combinations_with_replacement(max_K, max_ell):
