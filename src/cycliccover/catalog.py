@@ -42,8 +42,11 @@ ABELIAN_TORSION_NOTE = (
 )
 
 
-def _clamp(order: int) -> int:
-    return max(order, -1)
+def _scenario(d: int, branched: bool, label: str, order) -> CoveringScenario:
+    """The scenario whose twist q (0 <= q < d) has jet and very order
+    order(q), clamped to -1."""
+    profile = PositivityProfile({q: (max(order(q), -1),) * 2 for q in range(d)})
+    return CoveringScenario(d, branched, profile, label)
 
 
 def projective_space_scenario(n: int, a: int, r: int, d: int) -> CoveringScenario:
@@ -59,26 +62,15 @@ def projective_space_scenario(n: int, a: int, r: int, d: int) -> CoveringScenari
         raise ValueError(f"degree r must be >= 2, got {r}")
     if d < 2:
         raise ValueError(f"covering degree d must be >= 2, got {d}")
-    entries = {q: (_clamp(a - q * r),) * 2 for q in range(d)}
-    return CoveringScenario(
-        d=d,
-        branched=True,
-        profile=PositivityProfile(entries),
-        label=f"projective space n={n}, a={a}, r={r}, d={d}",
-    )
+    return _scenario(d, True, f"projective space n={n}, a={a}, r={r}, d={d}",
+                     lambda q: a - q * r)
 
 
 def geiser_scenario(k: int) -> CoveringScenario:
     """Double plane branched over a smooth quartic: L = O(k), M = O(1)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    entries = {q: (_clamp(k - q),) * 2 for q in range(2)}
-    return CoveringScenario(
-        d=2,
-        branched=True,
-        profile=PositivityProfile(entries),
-        label=f"Geiser double plane, k={k}",
-    )
+    return _scenario(2, True, f"Geiser double plane, k={k}", lambda q: k - q)
 
 
 def hirzebruch2_scenario(a: int, b: int) -> CoveringScenario:
@@ -87,16 +79,9 @@ def hirzebruch2_scenario(a: int, b: int) -> CoveringScenario:
     aD + bf carries order min(a, b - 2a) (same for jets and subschemes),
     clamped to -1 when negative.
     """
-    entries = {}
-    for q in range(2):
-        aq, bq = a - 2 * q, b - 3 * q
-        entries[q] = (_clamp(min(aq, bq - 2 * aq)),) * 2
-    return CoveringScenario(
-        d=2,
-        branched=True,
-        profile=PositivityProfile(entries),
-        label=f"Bertini cover of F_2, a={a}, b={b}",
-    )
+    # L - qM = (a - 2q)D + (b - 3q)f, and (b - 3q) - 2(a - 2q) = b - 2a + q
+    return _scenario(2, True, f"Bertini cover of F_2, a={a}, b={b}",
+                     lambda q: min(a - 2 * q, b - 2 * a + q))
 
 
 def abelian_torsion_scenario(m: int, d: int) -> CoveringScenario:
@@ -106,13 +91,8 @@ def abelian_torsion_scenario(m: int, d: int) -> CoveringScenario:
         raise ValueError(f"polarization multiple m must be >= 1, got {m}")
     if d < 2:
         raise ValueError(f"torsion order d must be >= 2, got {d}")
-    entries = {q: (_clamp(m - 2),) * 2 for q in range(d)}
-    return CoveringScenario(
-        d=d,
-        branched=False,
-        profile=PositivityProfile(entries),
-        label=f"abelian torsion cover, m={m}, d={d}",
-    )
+    return _scenario(d, False, f"abelian torsion cover, m={m}, d={d}",
+                     lambda q: m - 2)
 
 
 class Claim(namedtuple("Claim", "kind comparison value provenance note",

@@ -52,27 +52,18 @@ def _divmod_monic(num: list[int], mod: tuple[int, ...]):
     return quot, rem
 
 
-class _Field:
-    """Per-order constants: the degree and the reduction rule."""
-
-    __slots__ = ("n", "low")
-
-    def __init__(self, order: int):
-        phi = cyclotomic_polynomial(order)
-        n = len(phi) - 1
-        self.n = n
-        # x^n = -sum(c * x^i for i, c in low) modulo Phi_order
-        self.low = tuple((i, c) for i, c in enumerate(phi[:n]) if c)
-
-
 @lru_cache(maxsize=None)
-def _field(order: int) -> _Field:
-    return _Field(order)
+def _field(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(n, low): the degree phi(order) and the reduction rule, x^n =
+    -sum(c * x^i for i, c in low) modulo Phi_order."""
+    phi = cyclotomic_polynomial(order)
+    n = len(phi) - 1
+    return n, tuple((i, c) for i, c in enumerate(phi[:n]) if c)
 
 
-def _mul_reduce(a, b, field: _Field) -> list[int]:
+def _mul_reduce(a, b, field: tuple) -> list[int]:
     """The integer polynomial a * b reduced modulo Phi."""
-    n = field.n
+    n = field[0]
     prod = [0] * (2 * n - 1)
     for i, x in enumerate(a):
         if x:
@@ -82,9 +73,9 @@ def _mul_reduce(a, b, field: _Field) -> list[int]:
     return _reduce(prod, field)
 
 
-def _reduce(v: list[int], field: _Field) -> list[int]:
+def _reduce(v: list[int], field: tuple) -> list[int]:
     """v reduced (or zero-padded) in place to length n modulo Phi."""
-    n, low = field.n, field.low
+    n, low = field
     v += [0] * (n - len(v))
     for k in range(len(v) - 1, n - 1, -1):
         t = v[k]

@@ -150,19 +150,10 @@ def check_lemma_alg(
         shape_lists = [shapes[c] for c in big[1:]]
         pad = ell - len(big)  # the colength-1 slots after big
         if checked + n_first * math.prod(map(len, shape_lists)) > budget:
-            raise ResourceBudgetError(
-                f"tuple budget {budget} exceeded at colengths {tuple(big)} "
-                f"plus {pad} slots of colength 1",
-                partial_report=LemmaReport(
-                    lemma_id="alg",
-                    parameter_box={"k": k, "ell": ell},
-                    instances_checked=checked,
-                    max_slack=min_slack,
-                    counterexamples=counterexamples,
-                    notes=("partial: budget exhausted",),
-                    partial=True,
-                ),
-            )
+            raise _cut(f"tuple budget {budget} exceeded at colengths "
+                       f"{tuple(big)} plus {pad} slots of colength 1",
+                       "alg", {"k": k, "ell": ell}, checked, min_slack,
+                       counterexamples)
         for rest in itertools.product(*shape_lists):
             observed = intersection_colength(rest) if rest else 1
             slack = bound - observed
@@ -311,18 +302,9 @@ def check_lemma_num(
                                                  for Ki, c in tail)
                             checked += 1
                             if checked > budget:
-                                raise ResourceBudgetError(
-                                    f"instance budget {budget} exceeded",
-                                    partial_report=LemmaReport(
-                                        lemma_id="num",
-                                        parameter_box=box,
-                                        instances_checked=checked - 1,
-                                        max_slack=min_slack,
-                                        counterexamples=counterexamples,
-                                        notes=("partial: budget exhausted",),
-                                        partial=True,
-                                    ),
-                                )
+                                raise _cut(f"instance budget {budget} exceeded",
+                                           "num", box, checked - 1, min_slack,
+                                           counterexamples)
                             if min_slack is None or rhs - lhs < min_slack:
                                 min_slack = rhs - lhs
                             if lhs > rhs:
@@ -344,6 +326,15 @@ def check_lemma_num(
         counterexamples=counterexamples,
         notes=("reduced form: rhs is tau(sum K_i, max l_i over the head)",),
     )
+
+
+def _cut(message: str, lemma_id: str, box: dict, checked: int,
+         min_slack: int | None, counterexamples: list) -> ResourceBudgetError:
+    """The budget error of a search cut after checked instances, carrying
+    its partial report."""
+    return ResourceBudgetError(message, partial_report=LemmaReport(
+        lemma_id, box, checked, min_slack, counterexamples,
+        ("partial: budget exhausted",), partial=True))
 
 
 def _prefixes(size: int, pair, last: int):

@@ -22,6 +22,7 @@ it says nothing about positivity of actual bundles on actual varieties.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import namedtuple
 from collections.abc import Sequence
@@ -357,8 +358,8 @@ def run_case2_trial(rng: random.Random, max_d: int = 6) -> dict:
     jets = []
     for order in orders:
         terms = {}
-        for exps in _exponents_below(len(variables), order):
-            if rng.random() < 0.5:
+        for exps in itertools.product(range(order), repeat=len(variables)):
+            if sum(exps) < order and rng.random() < 0.5:
                 terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         jets.append(TruncatedSeries(variables, order, terms))
     section = case2_construct(d, betas, jets, orders)
@@ -374,12 +375,3 @@ def run_case2_trial(rng: random.Random, max_d: int = 6) -> dict:
         "prescriptions_met": all(ok),
         "per_point": ok,
     }
-
-
-def _exponents_below(n_vars: int, bound: int):
-    if n_vars == 0:
-        yield ()
-        return
-    for first in range(bound):
-        for rest in _exponents_below(n_vars - 1, bound - first):
-            yield (first,) + rest
