@@ -2,9 +2,10 @@
 
 Commands: sigma-table, verify-lemma, criteria, examples, local-model.
 Exit codes: 0 success, 1 claim/lemma failure, 2 usage or parse error,
-3 search budget exhausted.  Commands raise; only main turns an error into
-its stderr line and exit code, and prints the partial report a budget cut
-carries.  sigma-table prints the rows of combinatorics.sigma_table, blank
+3 search budget exhausted, 141 (128 + SIGPIPE, as a shell reports a writer
+killed by a closed pipe) when the reader closes stdout early.  Commands
+raise; only main turns an error into its stderr line and exit code, and
+prints the partial report a budget cut carries.  sigma-table prints the rows of combinatorics.sigma_table, blank
 where k < q.  All output is byte-deterministic for fixed arguments; the
 structured-records format emits one JSON object per line.
 
@@ -27,6 +28,7 @@ only for --format structured-records.  No command loads dataclasses.
 
 import argparse
 import functools
+import os
 import sys
 
 from .errors import ResourceBudgetError
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 CONFIG_SCHEMA_VERSION = 1
 # sigma-table refuses, before any work, a table of more rendered cells
@@ -467,6 +470,22 @@ def main(argv=None) -> int:
     if args.command == "verify-lemma" and args.lemma == "alg":
         if args.k is None or args.ell is None:
             build_parser().error("verify-lemma alg requires --k and --ell")
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point fd 1 at /dev/null, so the
+        # interpreter's exit flush of what is still buffered cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args) -> int:
+    """The command's exit code; an error it raises becomes its stderr
+    line and exit code."""
     try:
         return args.func(args)
     except ResourceBudgetError as exc:

@@ -29,10 +29,14 @@ def gamma(k: int, ell: int) -> int:
 
 
 def tau(k: int, ell: int) -> int:
-    """k - floor(k/ell) - ell + gamma(k, ell) + 1; may be <= 0 for large ell."""
+    """k - floor(k/ell) - ell + gamma(k, ell) + 1; may be <= 0 for large ell.
+
+    floor(k/ell) - gamma(k, ell) = ceil(k/ell) - 1, so this is
+    k - ceil(k/ell) - ell + 2, and (-k) // ell = -ceil(k/ell).
+    """
     if k < 1 or ell < 1:
         _require_positive(k=k, ell=ell)
-    return k - k // ell - ell + (k % ell == 0) + 1
+    return k + (-k // ell) - ell + 2
 
 
 def sigma(k: int, d: int, q: int) -> int:

@@ -23,6 +23,28 @@ The "num" lemma is a pure integer inequality.  We verify its reduced form
 
 which is the inequality the sigma bookkeeping actually relies on (the
 max-range in the headline statement has an ambiguous index set).
+
+Both lemmas have short general proofs, resting on the identity
+tau(k, l) = k - ceil(k/l) - l + 2 for k >= 1, l >= 2:
+
+  * alg, in any local ring: each I_i lies in the maximal ideal m, so
+    m / (I_2 cap ... cap I_l) embeds in the sum of the m / I_i, and with
+    c_i the colength of I_i the intersection has colength at most
+    1 + sum_{i>=2} (c_i - 1) = k - c_1 - l + 2 <= tau(k, l), since
+    c_1 >= ceil(k/l).
+  * num: q = 1 is the worst q, and there, with L = l_{i*} the largest l_i
+    and j over the tail, the slack is
+        sum_i ceil(K_i/l_i) + sum_j ceil(K_j/2) - ceil(K/L)
+            + sum_{i != i*} (l_i - 2),
+    whose ceiling part is >= 0 (ceil is subadditive and each l_i and 2 is
+    at most L) and whose other part is >= 0 (each l_i >= 2).  One head
+    pair with an empty tail has slack 0.
+
+So the oracles do not decide either lemma.  What the brute force still
+checks is the program's own tau values against both inequalities, and,
+for alg, how far the 2-variable model sits below the general bound: its
+minimum slack is 1 or 2 at some boxes, such as (k, ell) = (8, 4), where
+equality would need ell - 1 variables.
 """
 
 from __future__ import annotations
@@ -195,29 +217,19 @@ def check_lemma_num(
     (K_i, l_i) pairs and the tail K_i, so multisets are enumerated.  An
     instance is a (head, tail, q) triple; an empty tail has one instance.
 
-    The left side is nonincreasing in q (each floor(K_i / (q+1)) is), so
-    q = 1 has the smallest slack among a tail's max_q instances.  Each
-    (head, tail) is therefore decided by its q = 1 slack alone, and all its
-    instances are counted in one step; q is walked one by one, as an
-    instance-by-instance search would, only when that slack is negative
-    (to list every failing q) or the step would cross the budget (so the
-    cut, and the partial report, land on the same instance).  tau is
-    tabulated once per call for every l and every K <= max_m * max_K, the
-    tails of each length are listed once as (value, multiplicity) runs with
-    their sums, and witness dicts are built for counterexamples only, so a
-    call costs O(#heads * #tails) integer steps rather than O(#instances)
-    tau calls.  A head of m pairs extends an (m-1)-prefix from _prefixes by
-    one pair at or after the prefix's last, in combinations_with_replacement
-    order, and adds that pair's K, l and tau to the prefix's running sums:
-    a head costs O(1) steps, and its pairs are listed only in a
-    counterexample.  Tables past NUM_TABLE_CAP are not built: those tau
-    values and head pairs are computed as the search reaches them, and
-    those tails are walked in O(1) steps whatever their length, one length
-    at a time as a head reaches it, so the lengths past the tables cost no
-    memory at any max_m.  The head pairs are listed when m = 2 starts, up
-    to the cap, so a huge box at any budget holds at most NUM_TABLE_CAP of
-    each table; every pair has cost the m = 1 walk an instance by then,
-    but the budget may be spent.
+    The report (instance count, minimum slack, counterexamples in order
+    and the instance a budget cut lands on) is an instance-by-instance
+    search's.  The left side is nonincreasing in q, so each (head, tail)
+    is decided by its q = 1 slack and all its instances are counted in one
+    step; q is walked one by one only where that slack is negative (to list
+    every failing q) or the step would cross the budget.  A head extends a
+    prefix from _prefixes by one pair and a tail comes from _tails, each in
+    O(1) steps, so a call costs O(1) integer steps per (head, tail).
+
+    Memory: the tau rows, the tail tables and the head-pair list each hold
+    at most NUM_TABLE_CAP entries, and none reaches past what the budget
+    can (see K_reach below); values past them are computed as the walk
+    reaches them, so a huge box at any budget runs in bounded memory.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):

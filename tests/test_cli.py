@@ -464,18 +464,36 @@ def test_criteria_dense_profile_at_huge_degree(tmp_path, capsys, monkeypatch):
         0, out.replace("d=1000000000", f"d={entries + 1}"), "")
 
 
+def child_env():
+    """The environment of a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(cycliccover.__file__))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def cli_under_memory_limit(*argv):
     """Run the CLI in a child process whose address space is capped at 600 MB."""
     limit = 600 * 2**20
-    src = os.path.dirname(os.path.dirname(cycliccover.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "cycliccover.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (limit, limit)))
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 299 rows of 301 cells overflow the pipe's buffer, so the CLI is still
+    # writing when the reader closes its end after 100 bytes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycliccover.cli",
+         "sigma-table", "--d", "300", "--kmax", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head.startswith(b"q\\k")
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("max_K, max_ell", [(10**8, 3), (3, 10**8)])

@@ -78,6 +78,7 @@ README_CONFIG = {
 BAD_CONFIG = {"schema": 1, "d": 2, "profile": {}, "extra": 0}
 NUM_BOX = ("verify-lemma", "num", "--max-m", "3", "--max-K", "6",
            "--max-ell", "4", "--max-q", "3")
+ALG_CUT = ("verify-lemma", "alg", "--k", "8", "--ell", "3", "--budget", "30")
 RECORDS = ("--format", "structured-records")
 
 TRANSCRIPTS = {
@@ -91,6 +92,9 @@ TRANSCRIPTS = {
         "b589c0343c9b6abf5d0e769e96202d0951461dfba2ce5796a3ef897d65cac29c",
     ("verify-lemma", "alg", "--k", "8", "--ell", "3"): "1cf186629c4865948cbad442acbc93c2e0b1df304c8e068f3ee3783f7619077f",
     ("verify-lemma", "alg", "--k", "8", "--ell", "3", *RECORDS): "80681feb93ceabfb6aa2d1ad2bbe0e2cb5ee003c2f1cec7985ee9b538cdd5e88",
+    # a budget cut after 25 instances, partway through the colength partitions
+    ALG_CUT: "dd61edf8a22356b525fc373c5287d8f647e86313b01f6d7c2f3f3a7c53c6a89b",
+    (*ALG_CUT, *RECORDS): "01ee6c55c6134afde54cfae6f8e267e2b68a1e17708d6f80cbc935c8010654c7",
     NUM_BOX: "4c752ea750f2e4a504713f0f5b7efbe2fb5516b736fab970682b6423734818ea",
     (*NUM_BOX, *RECORDS): "b172a963d51090bc8c151e893e00cc4e3d10c7bdfea8abd3add87651c845dc93",
     (*NUM_BOX, "--budget", "10"): "10028093cfecdf54e8affc2c0ffa61341d2f57b5b267a872f6d4bd3e15933f54",
