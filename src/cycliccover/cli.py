@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 claim/lemma failure, 2 usage or parse error,
 3 search budget exhausted, 141 (128 + SIGPIPE, as a shell reports a writer
 killed by a closed pipe) when the reader closes stdout early.  Commands
 raise; only main turns an error into its stderr line and exit code, and
-prints the partial report a budget cut carries.  sigma-table prints the rows of combinatorics.sigma_table, blank
-where k < q.  All output is byte-deterministic for fixed arguments; the
-structured-records format emits one JSON object per line.
+prints the partial report a budget cut carries.  sigma-table prints the
+rows of combinatorics.sigma_table, blank where k < q.  All output is
+byte-deterministic for fixed arguments; the structured-records format
+emits one JSON object per line.
 
 One table (_COMMANDS) declares each command's options; the argparse
 parsers are built from it.  main reads a plain argv (a command name, its

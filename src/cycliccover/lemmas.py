@@ -40,11 +40,11 @@ tau(k, l) = k - ceil(k/l) - l + 2 for k >= 1, l >= 2:
     at most L) and whose other part is >= 0 (each l_i >= 2).  One head
     pair with an empty tail has slack 0.
 
-So the oracles do not decide either lemma.  What the brute force still
-checks is the program's own tau values against both inequalities, and,
-for alg, how far the 2-variable model sits below the general bound: its
-minimum slack is 1 or 2 at some boxes, such as (k, ell) = (8, 4), where
-equality would need ell - 1 variables.
+So neither lemma needs its oracle.  What the brute force still checks is
+the program's own tau values against both inequalities, and, for alg,
+how far the 2-variable model sits below the general bound: its minimum
+slack is 1 or 2 at some boxes, such as (k, ell) = (8, 4), where equality
+needs ell - 1 variables.
 """
 
 from __future__ import annotations
