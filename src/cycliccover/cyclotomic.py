@@ -4,21 +4,20 @@ An element is stored in one canonical form: integer numerators
 (nums[0], ..., nums[phi(d) - 1]) over one positive integer denominator den,
 with gcd(den, *nums) == 1, standing for sum_i (nums[i] / den) * zeta^i.
 The polynomial is reduced modulo the monic d-th cyclotomic polynomial, so
-zeta^a == zeta^b exactly when a = b mod d.  The class offers equality and
-hashing, which compare tuples, and the product of two elements of one
-order (integer convolution and integer reduction) for the tests'
-references; the program multiplies no elements.  Its values are formed
-on integer vectors and reduced once by power_sum, which takes integer
-coefficients of any length over one denominator; the constructor takes
-it too, so there is one reduction path.  No floating point anywhere.
+zeta^a == zeta^b exactly when a = b mod d.  Elements are built by
+power_sum only, which takes integer coefficients of any length over one
+denominator and reduces them once; the class has no constructor and no
+arithmetic, only equality and hashing, which compare tuples, and
+printing.  The program forms its values on integer vectors and multiplies
+no elements; the field product the tests check them against lives in
+tests/fieldref.py.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 
 @lru_cache(maxsize=None)
@@ -61,18 +60,6 @@ def _field(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return n, tuple((i, c) for i, c in enumerate(phi[:n]) if c)
 
 
-def _mul_reduce(a, b, field: tuple) -> list[int]:
-    """The integer polynomial a * b reduced modulo Phi."""
-    n = field[0]
-    prod = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-    return _reduce(prod, field)
-
-
 def _reduce(v: list[int], field: tuple) -> list[int]:
     """v reduced (or zero-padded) in place to length n modulo Phi."""
     n, low = field
@@ -89,20 +76,18 @@ def _reduce(v: list[int], field: tuple) -> list[int]:
 _set = object.__setattr__
 
 
-def _fill(obj, order: int, den: int, nums):
-    """Store nums / den (den > 0) in canonical form: divide out the gcd."""
+def _make(order: int, den: int, nums) -> "CyclotomicNumber":
+    """The element nums / den (den > 0) in canonical form: divide out the
+    gcd."""
     g = gcd(den, *nums)
     if g != 1:
         den //= g
         nums = [x // g for x in nums]
+    obj = object.__new__(CyclotomicNumber)
     _set(obj, "order", order)
     _set(obj, "den", den)
     _set(obj, "nums", tuple(nums))
     return obj
-
-
-def _make(order: int, den: int, nums) -> "CyclotomicNumber":
-    return _fill(object.__new__(CyclotomicNumber), order, den, nums)
 
 
 def power_sum(order: int, den: int, coeffs) -> "CyclotomicNumber":
@@ -113,16 +98,10 @@ def power_sum(order: int, den: int, coeffs) -> "CyclotomicNumber":
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_d), immutable and hashable."""
+    """An element of Q(zeta_d), immutable and hashable; build one with
+    power_sum."""
 
     __slots__ = ("order", "den", "nums")
-
-    def __init__(self, order: int, coeffs: Iterable[int | Fraction]):
-        fracs = [Fraction(c) for c in coeffs]
-        den = lcm(*(f.denominator for f in fracs))
-        x = power_sum(order, den,
-                      [f.numerator * (den // f.denominator) for f in fracs])
-        _fill(self, order, x.den, x.nums)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CyclotomicNumber is immutable")
@@ -134,17 +113,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        if other.order != self.order:
-            raise ValueError(
-                f"mixed root orders {self.order} and {other.order}")
-        return _make(self.order, self.den * other.den,
-                     _mul_reduce(self.nums, other.nums, _field(self.order)))
 
     # -- comparison / display ------------------------------------------------
 

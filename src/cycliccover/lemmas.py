@@ -309,6 +309,15 @@ def check_lemma_num(
                             if min_slack is None or slack < min_slack:
                                 min_slack = slack
                             continue
+                        if slack >= 0:  # the budget ends inside these q
+                            # the slack only grows with q: q = 1 holds the
+                            # least, if it fits, and no q is a counterexample
+                            if checked < budget and (min_slack is None
+                                                     or slack < min_slack):
+                                min_slack = slack
+                            raise _cut(f"instance budget {budget} exceeded",
+                                       "num", box, budget, min_slack,
+                                       counterexamples)
                         for q in range(1, steps + 1):
                             lhs = head_sum + sum(c * (Ki // (q + 1))
                                                  for Ki, c in tail)

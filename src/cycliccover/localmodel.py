@@ -359,7 +359,8 @@ def run_case2_trial(rng: random.Random, max_d: int = 6) -> dict:
     for order in orders:
         terms = {}
         for exps in itertools.product(range(order), repeat=len(variables)):
-            if sum(exps) < order and rng.random() < 0.5:
+            # random() < 0.5, read as the top bit of its first 32-bit word
+            if sum(exps) < order and not rng.getrandbits(64) >> 31 & 1:
                 terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         jets.append(TruncatedSeries(variables, order, terms))
     section = case2_construct(d, betas, jets, orders)

@@ -99,6 +99,10 @@ TRANSCRIPTS = {
     (*NUM_BOX, *RECORDS): "b172a963d51090bc8c151e893e00cc4e3d10c7bdfea8abd3add87651c845dc93",
     (*NUM_BOX, "--budget", "10"): "10028093cfecdf54e8affc2c0ffa61341d2f57b5b267a872f6d4bd3e15933f54",
     (*NUM_BOX, "--budget", "10", *RECORDS): "19938dafcf81fbe00be65470fbd51445c9b0fab4c85c91f9dfc355af0a2a1d9d",
+    # the default budget runs out inside one (head, tail)'s 10^9 q values
+    ("verify-lemma", "num", "--max-m", "7", "--max-ell", "11",
+     "--max-q", "1000000000"):
+        "25f152f7672074c996865c1c94c398cad03f77c0aa91a4161b61a28a38835aae",
     ("criteria", "--config", "scenario.json"): "cf942e0bd0c12f9d7532d1bd38dd0beb811073806988966ffaf89edb8431c2a8",
     ("criteria", "--config", "scenario.json", *RECORDS): "34a0dacc4e06f257aa58c293510bc03e347fe2e65235b355bd3241f05cdd1c3b",
     ("criteria", "--config", "bad.json"): "300a01c99d44c5d3b4bfec1a603579c0eae667cdbd120bc4266cfea939c32101",

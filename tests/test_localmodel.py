@@ -7,7 +7,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycliccover.cyclotomic import CyclotomicNumber, power_sum
+from cycliccover.cyclotomic import power_sum
 from cycliccover.engine import (
     CoveringScenario, PositivityProfile, max_guaranteed_jet_order)
 from cycliccover.errors import ResourceBudgetError, SingularSystemError
@@ -26,34 +26,13 @@ from cycliccover.localmodel import (
     vandermonde_sweep,
 )
 from cycliccover.series import TruncatedSeries, collect_terms
+from fieldref import element, field_sum, lift, product, root
 
 U = ("u1", "u2")
 
 
-def root(d, a=1):
-    """zeta_d^a for any integer a, from its exponent vector."""
-    return CyclotomicNumber(d, [0] * (a % d) + [1])
-
-
 def rational_series(bound, terms):
     return TruncatedSeries(U, bound, {e: Fraction(c) for e, c in terms.items()})
-
-
-def lift(d, c):
-    """c as an element of Q(zeta_d): a rational is a constant."""
-    return c if isinstance(c, CyclotomicNumber) else CyclotomicNumber(d, [c])
-
-
-def field_sum(d, values):
-    """The sum of rationals and elements of Q(zeta_d), added as integer
-    numerators over one denominator and reduced once by power_sum."""
-    values = [lift(d, c) for c in values]
-    den = math.lcm(1, *(x.den for x in values))
-    row = [0] * d
-    for x in values:
-        for i, n in enumerate(x.nums):
-            row[i] += n * (den // x.den)
-    return power_sum(d, den, row)
 
 
 def series_sum(d, variables, bound, pairs):
@@ -69,12 +48,13 @@ def series_sum(d, variables, bound, pairs):
 def scale(d, series, c):
     """c * series, c in Q(zeta_d)."""
     return series_sum(d, series.variables, series.bound, (
-        (exps, lift(d, c) * lift(d, x)) for exps, x in series.terms.items()))
+        (exps, product(lift(d, c), lift(d, x)))
+        for exps, x in series.terms.items()))
 
 
 def product_terms(d, a, b):
     """The (exponents, coefficient) pairs of the product a * b, untruncated."""
-    return [(tuple(map(add, e1, e2)), lift(d, c1) * lift(d, c2))
+    return [(tuple(map(add, e1, e2)), product(lift(d, c1), lift(d, c2)))
             for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()]
 
 
@@ -113,9 +93,9 @@ def lagrange_column(d, nodes, r):
 
 def lagrange_residual(d, nodes, r, alphas):
     """Row j of the Vandermonde system at the nodes, minus delta(j, r): a
-    sum of CyclotomicNumber products, the reference for the rotated and
+    sum of field products, the reference for the rotated and
     once-reduced rows of vandermonde_residual."""
-    return [field_sum(d, [root(d, c * node) * lift(d, alpha)
+    return [field_sum(d, [product(root(d, c * node), lift(d, alpha))
                           for c, alpha in enumerate(alphas)]
                       + [-1 if j == r else 0])
             for j, node in enumerate(nodes)]
@@ -125,11 +105,11 @@ def lagrange_residual(d, nodes, r, alphas):
 
 
 def test_vandermonde_single_point():
-    assert vandermonde_sweep(3)[0] == (CyclotomicNumber(3, [1]),)
+    assert vandermonde_sweep(3)[0] == (element(3, [1]),)
 
 
 def test_vandermonde_degree_two():
-    assert vandermonde_sweep(2)[1] == (CyclotomicNumber(2, [Fraction(1, 2)]),) * 2
+    assert vandermonde_sweep(2)[1] == (element(2, [Fraction(1, 2)]),) * 2
 
 
 def test_vandermonde_full_fiber_is_dft():
@@ -139,7 +119,7 @@ def test_vandermonde_full_fiber_is_dft():
         alphas = vandermonde_sweep(d)[-1]
         for r in vandermonde_residual(d, betas, alphas):
             assert r.is_zero()
-        expected = CyclotomicNumber(d, [Fraction(1, d)])
+        expected = element(d, [Fraction(1, d)])
         assert alphas[0] == expected
 
 
@@ -220,8 +200,9 @@ def test_over_one_minus_times_one_minus_is_e():
                 c = [rng.randint(-20, 20) for _ in range(d)]
                 e, (v,) = _over_one_minus(d, m, [c])
                 assert e == d // math.gcd(d, m)
-                one_minus = CyclotomicNumber(d, [1] + [0] * (m - 1) + [-1])
-                assert one_minus * power_sum(d, e, v) == power_sum(d, 1, c)
+                one_minus = element(d, [1] + [0] * (m - 1) + [-1])
+                assert product(one_minus, power_sum(d, e, v)) == \
+                    power_sum(d, 1, c)
 
 
 def test_vandermonde_repeated_betas_rejected():
@@ -299,18 +280,18 @@ def test_case2_cyclotomic_jets():
     # a coefficient of another root order is refused.
     rng = random.Random(5)
     for d in (3, 4, 5, 6, 9):
-        z = CyclotomicNumber(d, [0, 1])
+        z = element(d, [0, 1])
         betas = [0, -1, d + 1]
         jets = [TruncatedSeries(U, 3, {
-            (0, 0): field_sum(d, [z * lift(d, rng.randint(1, 4)),
+            (0, 0): field_sum(d, [product(z, lift(d, rng.randint(1, 4))),
                                   Fraction(1, rng.randint(1, 5))]),
-            (1, 1): CyclotomicNumber(d, [Fraction(rng.randint(-3, 3), 7)] * d),
+            (1, 1): element(d, [Fraction(rng.randint(-3, 3), 7)] * d),
             (0, 2): Fraction(rng.randint(-5, 5), 3)}) for _ in betas]
         section = case2_construct(d, betas, jets, [3, 2, 3])
         for beta, jet, order in zip(betas, jets, [3, 2, 3]):
             assert evaluate_at_orbit_point(section, beta).truncate(order) \
                 == jet.truncate(order)
-    foreign = TruncatedSeries(U, 2, {(0, 0): CyclotomicNumber(5, [0, 1])})
+    foreign = TruncatedSeries(U, 2, {(0, 0): element(5, [0, 1])})
     with pytest.raises(ValueError, match="mixed root orders"):
         case2_construct(3, [0, 1], [foreign, foreign], [2, 2])
     with pytest.raises(ValueError, match="mixed root orders"):
@@ -335,7 +316,7 @@ def reference_evaluate(decomposition, beta):
     series_sum, the reference for evaluate_at_orbit_point."""
     d, comps = decomposition.d, decomposition.components
     return series_sum(d, comps[0].variables, min(c.bound for c in comps), (
-        (exps, root(d, q * beta) * lift(d, coeff))
+        (exps, product(root(d, q * beta), lift(d, coeff)))
         for q, comp in enumerate(comps) for exps, coeff in comp.terms.items()))
 
 
@@ -344,7 +325,7 @@ def random_coefficient(data, d):
     fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
     if data.draw(st.booleans()):
         return data.draw(fracs.filter(bool))
-    return CyclotomicNumber(d, data.draw(st.lists(fracs, min_size=1, max_size=d)))
+    return element(d, data.draw(st.lists(fracs, min_size=1, max_size=d)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,6 +362,17 @@ def test_case2_and_evaluation_match_product_reference(data):
 
 
 # -- orbit evaluation and deck action -------------------------------------------
+
+
+def test_section_decomposition_refusals():
+    one = rational_series(2, {(0, 0): 1})
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        SectionDecomposition(0, ())
+    with pytest.raises(ValueError, match="need exactly d=3 components"):
+        SectionDecomposition(3, (one, one))
+    with pytest.raises(ValueError, match="components must share variables"):
+        SectionDecomposition(2, (one, TruncatedSeries(("x", "y"), 2)))
+    assert SectionDecomposition(2, (one, one)) == (2, (one, one))
 
 
 def test_evaluate_beta_zero_is_plain_sum():

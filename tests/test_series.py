@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycliccover.cyclotomic import CyclotomicNumber
 from cycliccover.localmodel import decompose_jet_ramified, reassemble_ramified
 from cycliccover.series import TruncatedSeries, collect_terms
+from fieldref import element
 
 U = ("u1", "u2")
 
@@ -39,10 +39,10 @@ def test_truncate_and_lift():
 def test_collect_terms_filters():
     # distinct exponents: terms at or past the bound and zeros drop out,
     # the rest keep their coefficients
-    z = CyclotomicNumber(3, [0, 1])
+    z = element(3, [0, 1])
     got = collect_terms(U, 3, [((0, 0), Fraction(2)), ((2, 1), Fraction(5)),
                                ((2, 0), Fraction(0)), ((0, 1), z),
-                               ((1, 0), CyclotomicNumber(3, [1, 1, 1]))])
+                               ((1, 0), element(3, [1, 1, 1]))])
     assert got.terms == {(0, 0): Fraction(2), (0, 1): z}
     assert got == TruncatedSeries(U, 3, {(0, 0): Fraction(2), (0, 1): z})
     assert collect_terms(U, 0, [((0, 0), Fraction(1))]).is_zero()
@@ -75,7 +75,7 @@ def coefficient_kinds(draw):
     if order is None:
         return rationals
     return st.lists(rationals, max_size=3).map(
-        lambda cs: CyclotomicNumber(order, cs))
+        lambda cs: element(order, cs))
 
 
 @st.composite
