@@ -40,11 +40,11 @@ tau(k, l) = k - ceil(k/l) - l + 2 for k >= 1, l >= 2:
     at most L) and whose other part is >= 0 (each l_i >= 2).  One head
     pair with an empty tail has slack 0.
 
-So neither lemma needs its oracle.  What the brute force still checks is
-the program's own tau values against both inequalities, and, for alg,
-how far the 2-variable model sits below the general bound: its minimum
-slack is 1 or 2 at some boxes, such as (k, ell) = (8, 4), where equality
-needs ell - 1 variables.
+So neither lemma needs its oracle.  What the oracles still check is the
+program's own tau values against both inequalities (the num DP assumes
+nothing about tau either), and, for alg, how far the 2-variable model
+sits below the general bound: its minimum slack is 1 or 2 at some boxes,
+such as (k, ell) = (8, 4), where equality needs ell - 1 variables.
 """
 
 from __future__ import annotations
@@ -58,10 +58,11 @@ from .errors import ResourceBudgetError
 
 DEFAULT_COLENGTH_CAP = 12
 DEFAULT_TUPLE_BUDGET = 10**7
-# check_lemma_num tabulates tau at no more than this many (K, l) pairs, and
-# tails holding no more than this many parts in all; a larger box computes
-# the rest as it reaches them, so its memory stays bounded while the
-# instance budget bounds its time.
+# check_lemma_num's DP holds no more than this many list entries.  Its walk
+# tabulates tau at no more than this many (K, l) pairs, and tails holding
+# no more than this many parts in all; a larger box computes the rest as
+# it reaches them, so its memory stays bounded while the instance budget
+# bounds its time.
 NUM_TABLE_CAP = 10**5
 
 
@@ -210,7 +211,7 @@ def check_lemma_num(
     max_q: int,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> LemmaReport:
-    """Exhaustively verify the reduced integer inequality over a box.
+    """Verify the reduced integer inequality over a box.
 
     Ranges: 1 <= m <= r <= max_m, 1 <= K_i <= max_K, 2 <= l_i <= max_ell,
     1 <= q <= max_q.  Both sides are symmetric under permuting the
@@ -219,17 +220,24 @@ def check_lemma_num(
 
     The report (instance count, minimum slack, counterexamples in order
     and the instance a budget cut lands on) is an instance-by-instance
-    search's.  The left side is nonincreasing in q, so each (head, tail)
-    is decided by its q = 1 slack and all its instances are counted in one
-    step; q is walked one by one only where that slack is negative (to list
-    every failing q) or the step would cross the budget.  A head extends a
-    prefix from _prefixes by one pair and a tail comes from _tails, each in
-    O(1) steps, so a call costs O(1) integer steps per (head, tail).
+    search's.  The left side is nonincreasing in q, so the least slack of
+    a (head, tail) is its q = 1 slack, and one of three methods finds it:
 
-    Memory: the tau rows, the tail tables and the head-pair list each hold
-    at most NUM_TABLE_CAP entries, and none reaches past what the budget
-    can (see K_reach below); values past them are computed as the walk
-    reaches them, so a huge box at any budget runs in bounded memory.
+      * a box of single pairs (max_m = 1) needs none: each instance is a
+        pair against its own tau, at slack 0 whatever tau is, so its count
+        and any cut are known in closed form;
+      * the DP (_num_min_slack) computes the least q = 1 slack of the
+        program's own tau over every (head, tail) without listing them;
+        it assumes nothing about tau, so it does not rest on the proof in
+        the module docstring.  It decides the box when the closed-form
+        instance count (_num_count) fits the budget, its lists fit
+        NUM_TABLE_CAP and its step bound is at most the walk's cost
+        (_num_dp_fits), and its slack is >= 0, so that no instance fails;
+      * otherwise the walk (_num_walk) visits every (head, tail): it lists
+        the counterexamples in order and cuts at the budget.
+
+    Memory stays bounded whatever the box and the budget: the DP holds at
+    most NUM_TABLE_CAP list entries, and so does each of the walk's tables.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):
@@ -241,6 +249,46 @@ def check_lemma_num(
         raise ValueError(f"budget must be >= 0, got {budget}")
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
+    if max_m == 1:
+        checked = max_K * (max_ell - 1)
+        if checked > budget:
+            raise _cut(f"instance budget {budget} exceeded", "num", box,
+                       budget, 0 if budget else None, [])
+        min_slack, counterexamples = 0, []
+    elif (_num_dp_fits(max_m, max_K, max_ell)
+            and (count := _num_count(max_m, max_K, max_ell, max_q)) <= budget
+            and (least := _num_min_slack(max_m, max_K, max_ell)) >= 0):
+        checked, min_slack, counterexamples = count, least, []
+    else:
+        checked, min_slack, counterexamples = _num_walk(
+            max_m, max_K, max_ell, max_q, budget, box)
+    return LemmaReport(
+        lemma_id="num",
+        parameter_box=box,
+        instances_checked=checked,
+        max_slack=min_slack,
+        counterexamples=counterexamples,
+        notes=("reduced form: rhs is tau(sum K_i, max l_i over the head)",),
+    )
+
+
+def _num_walk(max_m: int, max_K: int, max_ell: int, max_q: int, budget: int,
+              box: dict) -> tuple[int, int | None, list[dict]]:
+    """(instances checked, minimum slack, counterexamples) of a num box, by
+    visiting every (head, tail); a budget cut raises with the partial
+    report.
+
+    Each (head, tail) is decided by its q = 1 slack and all its instances
+    are counted in one step; q is walked one by one only where that slack
+    is negative (to list every failing q) or the step would cross the
+    budget.  A head extends a prefix from _prefixes by one pair and a tail
+    comes from _tails, each in O(1) steps, so a call costs O(1) integer
+    steps per (head, tail).
+
+    The tau rows, the tail tables and the head-pair list each hold at most
+    NUM_TABLE_CAP entries, and none reaches past what the budget can (see
+    K_reach below); values past them are computed as the walk reaches them.
+    """
     # Each m = 1 head and each tail costs an instance, so the walk is cut
     # before pair index budget + 1 (l <= budget + 2), any K_i > budget + 1
     # and any instance of more than budget + 1 pairs (the first head walks
@@ -276,9 +324,12 @@ def check_lemma_num(
         return K + 1, l + 2, tau(K + 1, l + 2)
 
     def pairs_from(start):  # pair(i) for start <= i < n_pairs
-        rest = range(max(start, len(pairs)), n_pairs)
-        return itertools.chain(itertools.islice(pairs, start, None),
-                               map(pair, rest))
+        # past the list, K and l run in nested loops: no divmod per pair
+        K0, l0 = divmod(max(start, len(pairs)), width)
+        return itertools.chain(
+            itertools.islice(pairs, start, None),
+            ((K, l, tau(K, l)) for K in range(K0 + 1, K_reach + 1)
+             for l in range(l0 + 2 if K == K0 + 1 else 2, max_ell + 1)))
 
     checked = 0
     min_slack: int | None = None
@@ -338,15 +389,95 @@ def check_lemma_num(
                                     "lhs": lhs,
                                     "rhs": rhs,
                                 })
+    return checked, min_slack, counterexamples
 
-    return LemmaReport(
-        lemma_id="num",
-        parameter_box=box,
-        instances_checked=checked,
-        max_slack=min_slack,
-        counterexamples=counterexamples,
-        notes=("reduced form: rhs is tau(sum K_i, max l_i over the head)",),
-    )
+
+def _num_count(max_m: int, max_K: int, max_ell: int, max_q: int) -> int:
+    """Instances of a num box in closed form: head multisets of m pairs
+    times tail multisets of up to max_m - m parts, each non-empty tail
+    counting max_q instances.  The tails of 1..N parts from 1..max_K are
+    C(max_K + N, N) - 1 in all (the hockey-stick identity).  With max_q = 1
+    this counts the (head, tail) pairs."""
+    pairs = max_K * (max_ell - 1)
+    return sum(math.comb(pairs + m - 1, m)
+               * (1 + max_q * (math.comb(max_K + max_m - m, max_m - m) - 1))
+               for m in range(1, max_m + 1))
+
+
+def _num_dp_fits(max_m: int, max_K: int, max_ell: int) -> bool:
+    """Whether _num_min_slack's lists fit NUM_TABLE_CAP and its max-plus
+    steps are at most four per (head, tail) of the walk.
+
+    A max-plus step is one add and compare in a list comprehension; a
+    walk's (head, tail) runs a dozen bytecodes and costs seven or more of
+    them (0.34 us against 45 ns at the box (2, 2000, 3, 1), Python 3.11).
+    The lists index the sums 0..max_m * max_K: max_m tail lists and fewer
+    than 10 working lists.  Per l and m the DP multiplies the m-pair head
+    list, of m * (max_K - 1) + 1 sums, by max_K pair values twice and by a
+    tail list; the tail knapsack costs no more than one l's heads.
+    """
+    span = max_m * max_K + 1
+    if (max_m + 10) * span > NUM_TABLE_CAP:
+        return False
+    steps = max_ell * sum(
+        (m * (max_K - 1) + 1) * ((max_m - m) * max_K + 1 + 2 * max_K)
+        for m in range(1, max_m + 1))
+    return steps <= 4 * _num_count(max_m, max_K, max_ell, 1)
+
+
+def _num_min_slack(max_m: int, max_K: int, max_ell: int) -> int:
+    """The least q = 1 slack tau(HK + TS, L) - H - T over the (head, tail)
+    pairs of a num box, found without listing them.
+
+    A head of m pairs enters the slack only through its K sum HK, its
+    largest l, L, and its tau sum H, and a tail of n parts only through its
+    sum TS and its T = sum floor(K_j / 2).  So only the largest H per
+    (m, L, HK) matters, and the largest T per TS over tails of at most
+    max_m - m parts.  Both are max-plus knapsacks over dense lists indexed
+    by the sum, and one more max-plus product per (m, L) pairs them off.
+    Nothing about tau is assumed: every value comes from tau itself.
+    """
+    halves = [K // 2 for K in range(1, max_K + 1)]
+    # tail_best[N][TS]: the largest T over tails of at most N parts.  Tails
+    # of exactly n parts reach the sums n..n * max_K; T >= 0 fills the rest.
+    tail_best = [[0]]
+    exactly = [0]
+    for n in range(1, max_m):
+        exactly = _maxplus(exactly, halves)
+        below = tail_best[-1]
+        tail_best.append(below[:n] + [
+            max(x, y) for x, y in itertools.zip_longest(
+                below[n:], exactly, fillvalue=0)])
+    least = None
+    for L in range(2, max_ell + 1):
+        rhs = [tau(K, L) for K in range(1, max_m * max_K + 1)]
+        with_L = rhs[:max_K]
+        # best_pair[K - 1]: the largest tau(K, l) over l <= L
+        best_pair = list(map(max, best_pair, with_L)) if L > 2 else with_L
+        below = [0]  # the largest H of m - 1 pairs with l <= L, by HK - m + 1
+        for m in range(1, max_m + 1):
+            heads = _maxplus(below, with_L)  # one pair has l = L; HK >= m
+            sums = _maxplus(heads, tail_best[max_m - m])
+            slack = min(r - s for r, s in zip(rhs[m - 1:], sums))
+            if least is None or slack < least:
+                least = slack
+            if m < max_m:
+                below = _maxplus(below, best_pair)
+    return least
+
+
+def _maxplus(a: list, b: list) -> list:
+    """The max-plus product of two non-empty lists: item s is the largest
+    a[i] + b[s - i]."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    c = [x + b[0] for x in a] + [a[-1] + y for y in b[1:]]
+    for j in range(1, len(b)):
+        y = b[j]
+        c[j:j + n] = [u if u >= x + y else x + y
+                      for u, x in zip(c[j:j + n], a)]
+    return c
 
 
 def _cut(message: str, lemma_id: str, box: dict, checked: int,

@@ -13,6 +13,10 @@ from cycliccover.errors import ResourceBudgetError
 from cycliccover.lemmas import (
     DEFAULT_TUPLE_BUDGET,
     LemmaReport,
+    _num_count,
+    _num_dp_fits,
+    _num_min_slack,
+    _num_walk,
     _partitions,
     _prefixes,
     _tails,
@@ -612,3 +616,94 @@ def test_lemma_num_left_side_nonincreasing_in_q(head, tail, q):
         return head + sum(Ki // (q + 1) for Ki in tail)
     assert lhs(q) >= lhs(q + 1)
     assert lhs(1) >= lhs(q)
+
+
+# -- num: the DP and the closed forms against the walk -------------------------
+
+NUM_NOTE = "reduced form: rhs is tau(sum K_i, max l_i over the head)"
+NUM_FIELDS = ("max_m", "max_K", "max_ell", "max_q")
+DP_GRID = list(itertools.product(range(1, 4), range(1, 9), range(2, 6),
+                                 (1, 2)))
+
+
+def walk_report(box, budget=DEFAULT_TUPLE_BUDGET) -> LemmaReport:
+    """The num report of the walk alone."""
+    named = dict(zip(NUM_FIELDS, box))
+    return LemmaReport("num", named, *_num_walk(*box, budget, named),
+                       (NUM_NOTE,))
+
+
+@pytest.mark.parametrize("bent", ["exact", *sorted(BENT_TAUS)])
+def test_num_dp_equals_the_walk_on_the_grid(monkeypatch, bent):
+    # _num_min_slack reads the program's own tau, so a bent tau moves its
+    # minimum as it moves the walk's, below 0 included; there
+    # check_lemma_num falls back to the walk, which lists every failing
+    # instance in order.
+    if bent != "exact":
+        monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS[bent])
+    decided = []  # the DP's answers inside check_lemma_num
+
+    def spy(*args):
+        decided.append(_num_min_slack(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(lemmas_module, "_num_min_slack", spy)
+    for box in DP_GRID:
+        walk = walk_report(box)
+        assert _num_min_slack(*box[:3]) == walk.max_slack, box
+        assert check_lemma_num(*box) == walk, box
+    assert len(DP_GRID) == 192 and decided
+    if bent == "exact":
+        assert set(decided) == {0}
+    else:
+        assert min(decided) < 0 <= max(decided)
+
+
+def test_num_count_equals_the_walk_on_every_grid_box():
+    for box in GRID + DEEP_GRID + DP_GRID:
+        assert _num_count(*box) == walk_report(box).instances_checked, box
+
+
+def test_num_small_table_cap_forces_the_walk(monkeypatch):
+    box = (4, 5, 4, 2)
+    expected = check_lemma_num(*box)
+    assert _num_dp_fits(*box[:3])
+
+    def refuse(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(lemmas_module, "_num_min_slack", refuse)
+    # a budget under the instance count leaves the cut to the walk
+    assert_num_matches_reference(box, expected.instances_checked - 1)
+    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 40)
+    assert not _num_dp_fits(*box[:3])
+    assert check_lemma_num(*box) == expected == walk_report(box)
+
+
+@pytest.mark.parametrize("box, budget, instances", [
+    ((5, 20, 6, 5), 10**9, 786_148_145),
+    ((6, 20, 6, 5), 10**11, 17_801_013_745),
+])
+def test_num_dp_reaches_boxes_the_walk_cannot_afford(box, budget, instances):
+    # The walk takes about 0.2 us per (head, tail); these boxes have
+    # 10^8 and 2 * 10^9 of them.
+    start = time.perf_counter()
+    report = check_lemma_num(*box, budget=budget)
+    elapsed = time.perf_counter() - start
+    assert report == LemmaReport("num", dict(zip(NUM_FIELDS, box)), instances,
+                                 0, [], (NUM_NOTE,))
+    assert elapsed < 0.1, elapsed
+
+
+def test_num_single_pair_box_is_cut_in_closed_form():
+    # With max_m = 1 each instance is one pair against its own tau, at
+    # slack 0: walking the first 10^7 of 6 * 10^18 pairs took 13 s.
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError) as exc_info:
+        check_lemma_num(1, 10**18, 7, 1000)
+    elapsed = time.perf_counter() - start
+    assert str(exc_info.value) == "instance budget 10000000 exceeded"
+    assert exc_info.value.partial_report == LemmaReport(
+        "num", dict(zip(NUM_FIELDS, (1, 10**18, 7, 1000))), 10**7, 0, [],
+        ("partial: budget exhausted",), partial=True)
+    assert elapsed < 3, elapsed

@@ -103,6 +103,10 @@ TRANSCRIPTS = {
     ("verify-lemma", "num", "--max-m", "7", "--max-ell", "11",
      "--max-q", "1000000000"):
         "25f152f7672074c996865c1c94c398cad03f77c0aa91a4161b61a28a38835aae",
+    # single pairs: the default budget cuts after 10^7 of 6 * 10^18 pairs
+    ("verify-lemma", "num", "--max-m", "1", "--max-K", "1000000000000000000",
+     "--max-ell", "7", "--max-q", "1000"):
+        "63eed15dbbc98ce168712ee8c2c4b736e6fcb09755f6b919863f94cdf2e24011",
     ("criteria", "--config", "scenario.json"): "cf942e0bd0c12f9d7532d1bd38dd0beb811073806988966ffaf89edb8431c2a8",
     ("criteria", "--config", "scenario.json", *RECORDS): "34a0dacc4e06f257aa58c293510bc03e347fe2e65235b355bd3241f05cdd1c3b",
     ("criteria", "--config", "bad.json"): "300a01c99d44c5d3b4bfec1a603579c0eae667cdbd120bc4266cfea939c32101",
