@@ -13,8 +13,10 @@ monomials of an intersection are the union of the staircases.  A staircase
 is stored as its column heights, a descending tuple (the partition of its
 colength), so colength is the sum of the heights and a union has the
 tallest column of each position; cells are listed only to print a
-counterexample.  This is desk-scale evidence, not a proof for general local
-rings; reports say so.
+counterexample.  The checked quantity depends on slots 2..l only through
+their union, so a DP over the distinct unions that lie inside no other
+finds the least slack without listing tuples.  This is desk-scale
+evidence, not a proof for general local rings; reports say so.
 
 The "num" lemma is a pure integer inequality.  We verify its reduced form
 
@@ -41,8 +43,8 @@ tau(k, l) = k - ceil(k/l) - l + 2 for k >= 1, l >= 2:
     pair with an empty tail has slack 0.
 
 So neither lemma needs its oracle.  What the oracles still check is the
-program's own tau values against both inequalities (the num DP assumes
-nothing about tau either), and, for alg, how far the 2-variable model
+program's own tau values against both inequalities (neither DP assumes
+anything about tau), and, for alg, how far the 2-variable model
 sits below the general bound: its minimum slack is 1 or 2 at some boxes,
 such as (k, ell) = (8, 4), where equality needs ell - 1 variables.
 """
@@ -137,18 +139,33 @@ def check_lemma_alg(
     ell: int,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> LemmaReport:
-    """Exhaust all staircase tuples (I_1, ..., I_ell) with total colength k.
+    """Check every staircase tuple (I_1, ..., I_ell) with total colength k.
 
     I_1 is forced to have maximal colength by sorting the colength
     partition descending.  The shape of I_1 never enters the checked
-    quantity (only I_2, ..., I_ell are intersected), so shapes are
-    enumerated for slots 2..ell while I_1 contributes its p(c_1) choices
-    to the instance count only.  Each shape is a tuple of column heights,
-    and the intersection colength is the sum of their column-wise maxima.
-    A colength partition is a partition of the excess k - ell into at most
-    ell parts, part h standing for colength h + 1 and every other slot for
-    colength 1, whose staircase (1,) lies inside every other: only slots of
-    colength >= 2 are intersected, so a colength-1 slot costs nothing.
+    quantity (only I_2, ..., I_ell are intersected), so it contributes its
+    p(c_1) choices to the instance count only.  A colength partition is a
+    partition of the excess k - ell into at most ell parts, part h standing
+    for colength h + 1 and every other slot for colength 1, whose staircase
+    (1,) lies inside every other: only slots of colength >= 2 are
+    intersected, so a colength-1 slot costs nothing.
+
+    The report (instance count, minimum slack, counterexamples in order
+    and the instance a budget cut lands on) is an instance-by-instance
+    search's, found by one of two methods:
+
+      * the DP decides the box when its closed-form instance count
+        (_alg_count) fits the budget and its least slack (_alg_min_slack,
+        from the largest union over the box, found without listing
+        tuples) is >= 0, so that no instance fails.  It assumes nothing
+        about tau, so it does not rest on the proof in the module
+        docstring;
+      * otherwise the walk (_alg_walk) visits every tuple: it lists the
+        counterexamples in order and cuts at the budget.
+
+    A box whose largest colength, k - ell + 1, reaches DEFAULT_COLENGTH_CAP
+    goes to the walk, which raises at its first colength partition, before
+    any budget check.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
@@ -157,6 +174,32 @@ def check_lemma_alg(
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
+    box = {"k": k, "ell": ell}
+    if (k - ell + 1 < DEFAULT_COLENGTH_CAP
+            and (count := _alg_count(k, ell)) <= budget
+            and (least := _alg_min_slack(k, ell)) >= 0):
+        checked, min_slack, counterexamples = count, least, []
+    else:
+        checked, min_slack, counterexamples = _alg_walk(k, ell, budget, box)
+    return LemmaReport(
+        lemma_id="alg",
+        parameter_box=box,
+        instances_checked=checked,
+        max_slack=min_slack,
+        counterexamples=counterexamples,
+        notes=(
+            "model: monomial ideals in 2 variables (staircases); "
+            "evidence for the local-ring statement, not a proof",
+        ),
+    )
+
+
+def _alg_walk(k: int, ell: int, budget: int,
+              box: dict) -> tuple[int, int | None, list[dict]]:
+    """(instances checked, minimum slack, counterexamples) of an alg box, by
+    listing every tuple of shapes for slots 2..ell; a budget cut raises
+    with the partial report.  Each shape is a tuple of column heights, and
+    the intersection colength is the sum of their column-wise maxima."""
     bound = tau(k, ell)
     checked = 0
     min_slack: int | None = None
@@ -175,8 +218,7 @@ def check_lemma_alg(
         if checked + n_first * math.prod(map(len, shape_lists)) > budget:
             raise _cut(f"tuple budget {budget} exceeded at colengths "
                        f"{tuple(big)} plus {pad} slots of colength 1",
-                       "alg", {"k": k, "ell": ell}, checked, min_slack,
-                       counterexamples)
+                       "alg", box, checked, min_slack, counterexamples)
         for rest in itertools.product(*shape_lists):
             observed = intersection_colength(rest) if rest else 1
             slack = bound - observed
@@ -190,18 +232,83 @@ def check_lemma_alg(
                     "bound": bound,
                 })
             checked += n_first
+    return checked, min_slack, counterexamples
 
-    return LemmaReport(
-        lemma_id="alg",
-        parameter_box={"k": k, "ell": ell},
-        instances_checked=checked,
-        max_slack=min_slack,
-        counterexamples=counterexamples,
-        notes=(
-            "model: monomial ideals in 2 variables (staircases); "
-            "evidence for the local-ring statement, not a proof",
-        ),
-    )
+
+def _alg_count(k: int, ell: int) -> int:
+    """Instances of an alg box below the colength cap in closed form: the
+    sum over colength partitions of p(c_1) * prod_{i>=2} p(c_i), with p the
+    partition numbers (a colength-1 slot has p(1) = 1 shape)."""
+    top = k - ell + 1
+    p = [1] + [0] * top
+    for part in range(1, top + 1):
+        for n in range(part, top + 1):
+            p[n] += p[n - part]
+    return sum(math.prod(p[h + 1] for h in excess)
+               for excess in _partitions(k - ell, ell))
+
+
+def _alg_min_slack(k: int, ell: int) -> int:
+    """The least slack tau(k, ell) - colength(I_2 cap ... cap I_ell) over an
+    alg box below the colength cap, found without listing tuples.
+
+    Only the largest union over the box matters.  A partition's union is at
+    most its trivial bound 1 + sum_{i>=2} (c_i - 1) = k - c_1 - ell + 2,
+    since every staircase holds the origin, so the partitions are taken by
+    increasing first part, whose bounds fall, and the search stops at the
+    first bound that the largest union found so far reaches.  The union
+    states are shared by the partitions of one call.  Nothing about tau is
+    assumed: the union depends on the shapes alone.
+    """
+    states: dict = {}
+    largest = 0
+    for excess in sorted(_partitions(k - ell, ell), key=lambda e: e[:1]):
+        if 1 + k - ell - sum(excess[:1]) <= largest:
+            break
+        largest = max(largest, _largest_union(excess[1:], states))
+    return tau(k, ell) - largest
+
+
+def _largest_union(parts: tuple[int, ...], states: dict) -> int:
+    """The largest colength of a union of staircases of colengths h + 1, for
+    the parts h >= 1 of an excess, 1 for none (the staircase (1,) of a
+    colength-1 slot).  The last slot only needs the largest cell count, so
+    no states are kept for it."""
+    if not parts:
+        return 1
+    prefix = _union_states(parts[:-1], states) if len(parts) > 1 else [0]
+    return max((s | t).bit_count()
+               for s in prefix for t in _union_states(parts[-1:], states))
+
+
+def _union_states(parts: tuple[int, ...], states: dict) -> list[int]:
+    """The distinct unions of staircases of colengths h + 1, for the parts
+    h >= 1, that lie inside no other, memoised in states by parts.
+
+    A staircase is a bit mask of its cells, cell (i, j) at bit
+    i * DEFAULT_COLENGTH_CAP + j (a column holds fewer cells than the cap),
+    so a union is an or and its colength a bit count.  A union inside
+    another stays inside it after any further union, so it can never give
+    the larger final colength.  One slot's unions are its staircases, none
+    inside another; a longer prefix unions its states with the last slot's
+    shapes and keeps those not inside one kept before, in order of
+    decreasing colength (a union inside another is smaller).
+    """
+    found = states.get(parts)
+    if found is None:
+        if len(parts) == 1:
+            found = [sum(((1 << h) - 1) << (i * DEFAULT_COLENGTH_CAP)
+                         for i, h in enumerate(heights))
+                     for heights in enumerate_staircases(parts[0] + 1)]
+        else:
+            unions = {s | t for s in _union_states(parts[:-1], states)
+                      for t in _union_states(parts[-1:], states)}
+            found = []
+            for s in sorted(unions, key=int.bit_count, reverse=True):
+                if all(s | t != t for t in found):
+                    found.append(s)
+        states[parts] = found
+    return found
 
 
 def check_lemma_num(

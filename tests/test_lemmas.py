@@ -13,6 +13,11 @@ from cycliccover.errors import ResourceBudgetError
 from cycliccover.lemmas import (
     DEFAULT_TUPLE_BUDGET,
     LemmaReport,
+    _alg_count,
+    _alg_min_slack,
+    _alg_walk,
+    _largest_union,
+    _union_states,
     _num_count,
     _num_dp_fits,
     _num_min_slack,
@@ -356,6 +361,116 @@ def test_intersection_colength_matches_cell_union():
         for pick in itertools.product(range(len(heights)), repeat=r):
             assert intersection_colength([heights[i] for i in pick]) == \
                 len(frozenset().union(*(cells[i] for i in pick)))
+
+
+# -- alg: the DP against the walk ---------------------------------------------
+
+ALG_NOTE = ("model: monomial ideals in 2 variables (staircases); "
+            "evidence for the local-ring statement, not a proof")
+# every box under the colength cap with 2 <= ell <= 10
+ALG_GRID = [(k, ell) for ell in range(2, 11) for k in range(ell, ell + 11)]
+
+
+def alg_walk_report(k, ell, budget=DEFAULT_TUPLE_BUDGET) -> LemmaReport:
+    """The alg report of the walk alone."""
+    box = {"k": k, "ell": ell}
+    return LemmaReport("alg", box, *_alg_walk(k, ell, budget, box),
+                       (ALG_NOTE,))
+
+
+def refuse_dp(*args):
+    raise AssertionError("the DP ran")
+
+
+@pytest.mark.parametrize("bent", [0, 1, 2])
+def test_alg_dp_equals_the_walk_on_the_grid(monkeypatch, bent):
+    # _alg_min_slack reads the program's own tau, so a bent tau moves its
+    # least slack as it moves the walk's, below 0 included; there
+    # check_lemma_alg falls back to the walk, which lists every failing
+    # tuple in order.
+    monkeypatch.setattr(lemmas_module, "tau", lambda K, l: tau(K, l) - bent)
+    decided = []  # the DP's answers inside check_lemma_alg
+
+    def spy(*args):
+        decided.append(_alg_min_slack(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(lemmas_module, "_alg_min_slack", spy)
+    failing = 0
+    for k, ell in ALG_GRID:
+        walk = alg_walk_report(k, ell)
+        assert (_alg_count(k, ell), _alg_min_slack(k, ell)) == \
+            (walk.instances_checked, walk.max_slack), (k, ell)
+        assert check_lemma_alg(k, ell) == walk, (k, ell)
+        failing += not walk.passed
+    assert len(ALG_GRID) == len(decided) == 99
+    assert (failing > 0) == (min(decided) < 0) == (bent > 0)
+    assert max(decided) >= 0
+
+
+def test_alg_budget_under_the_count_leaves_the_cut_to_the_walk(monkeypatch):
+    monkeypatch.setattr(lemmas_module, "_alg_min_slack", refuse_dp)
+    for k, ell in ALG_GRID:
+        budget = _alg_count(k, ell) - 1
+        with pytest.raises(ResourceBudgetError) as exc_info:
+            check_lemma_alg(k, ell, budget=budget)
+        with pytest.raises(ResourceBudgetError) as walk_info:
+            alg_walk_report(k, ell, budget)
+        assert str(exc_info.value) == str(walk_info.value)
+        assert exc_info.value.partial_report == walk_info.value.partial_report
+        if ell <= 5 and k <= ell + 6:  # today's partial report, on cell sets
+            assert alg_outcome(check_lemma_alg, k, ell, budget) == \
+                alg_outcome(reference_lemma_alg, k, ell, budget), (k, ell)
+
+
+@pytest.mark.parametrize("budget", [0, DEFAULT_TUPLE_BUDGET])
+def test_alg_box_at_the_colength_cap_raises_before_the_dp(monkeypatch, budget):
+    monkeypatch.setattr(lemmas_module, "_alg_count", refuse_dp)
+    monkeypatch.setattr(lemmas_module, "_alg_min_slack", refuse_dp)
+    for ell in (2, 10, 10**7):
+        for k in (ell + 11, ell + 30):
+            with pytest.raises(ResourceBudgetError) as exc_info:
+                check_lemma_alg(k, ell, budget=budget)
+            assert str(exc_info.value) == \
+                f"colength {k - ell + 1} >= enumeration cap 12"
+            assert exc_info.value.partial_report is None
+
+
+def test_alg_largest_union_per_partition_equals_a_product_search():
+    # The DP drops every union that lies inside another and prunes
+    # partitions by their trivial bound; a search over every tuple of cell
+    # sets does neither.
+    partitions = 0
+    for ell in range(2, 6):
+        for k in range(ell, ell + 7):
+            states = {}  # shared by the box's partitions, as in the DP
+            for excess in _partitions(k - ell, ell):
+                rest = [h + 1 for h in excess[1:]]  # colengths of slots 2..
+                largest = max(len(frozenset().union(*cells)) for cells in
+                              itertools.product(*map(reference_staircases,
+                                                     rest))) if rest else 1
+                assert _largest_union(excess[1:], states) == largest, \
+                    (k, ell, rest)
+                assert _largest_union(excess[1:], {}) == largest
+                partitions += 1
+    assert partitions == 95
+
+
+def test_alg_union_states_are_the_unions_inside_no_other():
+    # Every union of one staircase per slot, as a cell set, and those of
+    # them that are a proper subset of none: the DP keeps exactly these.
+    tuples = 0
+    for excess in itertools.chain.from_iterable(
+            reference_partitions(n, n) for n in range(1, 10)):
+        unions = {frozenset().union(*cells) for cells in itertools.product(
+            *(reference_staircases(h + 1) for h in excess))}
+        maximal = {u for u in unions if not any(u < v for v in unions)}
+        states = _union_states(excess, {})  # cell (i, j) at bit 12 i + j
+        assert len(states) == len(maximal), excess
+        assert {frozenset(divmod(b, 12) for b in range(s.bit_length())
+                          if s >> b & 1) for s in states} == maximal, excess
+        tuples += 1
+    assert tuples == sum(PARTITION_COUNTS[:9])
 
 
 # -- num against the instance-by-instance search ------------------------------

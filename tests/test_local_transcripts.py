@@ -79,6 +79,7 @@ BAD_CONFIG = {"schema": 1, "d": 2, "profile": {}, "extra": 0}
 NUM_BOX = ("verify-lemma", "num", "--max-m", "3", "--max-K", "6",
            "--max-ell", "4", "--max-q", "3")
 ALG_CUT = ("verify-lemma", "alg", "--k", "8", "--ell", "3", "--budget", "30")
+ALG_WIDE = ("verify-lemma", "alg", "--k", "20", "--ell", "10")
 RECORDS = ("--format", "structured-records")
 
 TRANSCRIPTS = {
@@ -95,6 +96,12 @@ TRANSCRIPTS = {
     # a budget cut after 25 instances, partway through the colength partitions
     ALG_CUT: "dd61edf8a22356b525fc373c5287d8f647e86313b01f6d7c2f3f3a7c53c6a89b",
     (*ALG_CUT, *RECORDS): "01ee6c55c6134afde54cfae6f8e267e2b68a1e17708d6f80cbc935c8010654c7",
+    # the widest box under the colength cap: 11,577 instances, slack 3
+    ALG_WIDE: "4eb6c2b3a46a18472e9cc5d1ea6596548542e7c4569f1d70211938e349f5f3b0",
+    (*ALG_WIDE, *RECORDS): "6c245698552f3a879dab1e0a17d2f829c85e5c24e997022cd8cfc1f95f7cca9e",
+    # the same 42 colength partitions, each padded with 10^7 - 10 slots of 1
+    ("verify-lemma", "alg", "--k", "10000010", "--ell", "10000000"):
+        "05634fafd7a9ef5fb204737f51c3a5cf524ca6eb64dd66152fa5642143a4736a",
     NUM_BOX: "4c752ea750f2e4a504713f0f5b7efbe2fb5516b736fab970682b6423734818ea",
     (*NUM_BOX, *RECORDS): "b172a963d51090bc8c151e893e00cc4e3d10c7bdfea8abd3add87651c845dc93",
     (*NUM_BOX, "--budget", "10"): "10028093cfecdf54e8affc2c0ffa61341d2f57b5b267a872f6d4bd3e15933f54",
