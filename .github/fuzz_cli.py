@@ -6,18 +6,16 @@ search) is left at its default or set to one of -1, 0, 1, a small value,
 10^3, 10^6, 10^9 and 10^18, and every other option to one of its choices.
 Each call runs in a fresh process under ``timeout``.  The run fails when any
 call prints a traceback, exits outside {0, 1, 2, 3} (a timeout exits 124)
-or takes longer than the wall-time bound.
+or takes longer than BOUND seconds.  It needs the ``cycliccover`` console
+script on PATH (``pip install -e .``):
 
-    python3 .github/fuzz_cli.py --seed 0 --calls 300
-    PYTHONPATH=src python3 .github/fuzz_cli.py --command "python3 -m cycliccover.cli"
+    python3 .github/fuzz_cli.py
 """
 
-import argparse
 import collections
 import json
 import os
 import random
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -29,6 +27,10 @@ EDGES = (-1, 0, 1, "small", 10**3, 10**6, 10**9, 10**18)
 CONFIG = {"schema": 1, "label": "geiser k=3", "d": 2, "branched": True,
           "profile": {"0": {"jet": 3, "very": 3}, "1": {"jet": 2, "very": 2}}}
 EXIT_CODES = {0, 1, 2, 3}
+SEED = 0
+CALLS = 300
+BOUND = 30.0  # wall-time bound per call, in seconds
+COMMAND = ["cycliccover"]
 
 
 def draw(rng: random.Random, config: str) -> list:
@@ -56,29 +58,20 @@ def draw(rng: random.Random, config: str) -> list:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--calls", type=int, default=300)
-    parser.add_argument("--bound", type=float, default=20.0,
-                        help="wall-time bound per call, in seconds")
-    parser.add_argument("--command", default="cycliccover",
-                        help="how to start the CLI (default: the console script)")
-    args = parser.parse_args()
-    rng = random.Random(f"cycliccover-fuzz:{args.seed}")
-    command = shlex.split(args.command)
+    rng = random.Random(f"cycliccover-fuzz:{SEED}")
     codes = collections.Counter()
     failures, walls = [], []
     with tempfile.TemporaryDirectory() as workdir:
         config = os.path.join(workdir, "scenario.json")
         with open(config, "w", encoding="utf-8") as f:
             json.dump(CONFIG, f)
-        for _ in range(args.calls):
+        for _ in range(CALLS):
             argv = draw(rng, config)
             start = time.monotonic()
             # the bound plus a second, so that a call over the bound is
             # timed rather than killed
             proc = subprocess.run(
-                ["timeout", str(args.bound + 1), *command, *argv],
+                ["timeout", str(BOUND + 1), *COMMAND, *argv],
                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
             wall = time.monotonic() - start
             codes[proc.returncode] += 1
@@ -88,10 +81,10 @@ def main() -> int:
                 failures.append(f"traceback: {shown}\n{proc.stderr[-2000:]}")
             if proc.returncode not in EXIT_CODES:
                 failures.append(f"exit {proc.returncode}: {shown}")
-            if wall > args.bound:
-                failures.append(f"{wall:.2f} s over {args.bound} s: {shown}")
-    print(f"{args.calls} calls, seed {args.seed}; exit codes "
-          f"{dict(sorted(codes.items()))}; the slowest:")
+            if wall > BOUND:
+                failures.append(f"{wall:.2f} s over {BOUND} s: {shown}")
+    print(f"{CALLS} calls, seed {SEED}, {sum(w for w, _ in walls):.0f} s in "
+          f"all; exit codes {dict(sorted(codes.items()))}; the slowest:")
     for wall, argv in sorted(walls, key=lambda w: w[0], reverse=True)[:5]:
         print(f"  {wall:.2f} s: {' '.join(argv)}")
     for failure in failures:
