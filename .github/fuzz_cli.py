@@ -1,9 +1,11 @@
-"""Seeded fuzz of the CLI at edge values, at the default budget.
+"""Seeded fuzz of the CLI at edge values.
 
 Draws argv over every command of ``cycliccover.cli._COMMANDS``: each
-integer flag but --budget (never passed, so the default budget bounds every
-search) is left at its default or set to one of -1, 0, 1, a small value,
-10^3, 10^6, 10^9 and 10^18, and every other option to one of its choices.
+integer flag but --budget is left at its default or set to one of -1, 0,
+1, a small value, 10^3, 10^6, 10^9 and 10^18; --budget is left at its
+default or set to one of 0, 1, a small value and 10^3, so the budget cuts
+of both lemmas are reached while each call stays short; every other option
+is set to one of its choices.
 Each call runs in a fresh process under ``timeout``.  The run fails when any
 call prints a traceback, exits outside {0, 1, 2, 3} (a timeout exits 124)
 or takes longer than BOUND seconds.  It needs the ``cycliccover`` console
@@ -24,6 +26,7 @@ import time
 from cycliccover.cli import _COMMANDS
 
 EDGES = (-1, 0, 1, "small", 10**3, 10**6, 10**9, 10**18)
+BUDGETS = (0, 1, "small", 10**3)
 CONFIG = {"schema": 1, "label": "geiser k=3", "d": 2, "branched": True,
           "profile": {"0": {"jet": 3, "very": 3}, "1": {"jet": 2, "very": 2}}}
 EXIT_CODES = {0, 1, 2, 3}
@@ -42,10 +45,10 @@ def draw(rng: random.Random, config: str) -> list:
     if positional is not None:
         argv.append(rng.choice(positional[3]))
     for flag, (dest, convert, _, choices, required) in flags.items():
-        if dest == "budget" or not (required or rng.random() < 0.75):
+        if not (required or rng.random() < 0.75):
             continue
         if convert is int:
-            value = rng.choice(EDGES)
+            value = rng.choice(BUDGETS if dest == "budget" else EDGES)
             value = rng.randint(2, 12) if value == "small" else value
         elif choices is not None:
             value = rng.choice(choices)

@@ -3,7 +3,7 @@
 Subpackages:
 
   combinatorics  -- the integer functions gamma, tau, sigma and sigma tables
-  lemmas         -- brute-force oracles for the two supporting lemmas
+  lemmas         -- exhaustive checks of the two supporting lemmas
   engine         -- decision procedures on positivity profiles
   catalog        -- stock geometries with their expected claims
   cyclotomic     -- exact arithmetic in Q(zeta_d)

@@ -1,4 +1,4 @@
-"""Brute-force oracles for the two combinatorial lemmas behind sigma.
+"""Exhaustive checks of the two combinatorial lemmas behind sigma.
 
 The "alg" lemma bounds the colength of an intersection of ideals in a local
 ring: if ideals I_1, ..., I_l (l >= 2) inside the maximal ideal have total
@@ -10,13 +10,13 @@ We check it on the concrete model of monomial ideals in two variables,
 where an ideal is a staircase (a downward-closed set of lattice exponents,
 its standard monomials), colength is the cell count, and the standard
 monomials of an intersection are the union of the staircases.  A staircase
-is stored as its column heights, a descending tuple (the partition of its
-colength), so colength is the sum of the heights and a union has the
-tallest column of each position; cells are listed only to print a
-counterexample.  The checked quantity depends on slots 2..l only through
-their union, so a DP over the distinct unions that lie inside no other
-finds the least slack without listing tuples.  This is desk-scale
-evidence, not a proof for general local rings; reports say so.
+is enumerated as its column heights, a descending tuple (the partition of
+its colength), and intersected as a bit mask of its cells, so a union is an
+or and its colength a bit count.  The checked quantity depends on slots
+2..l only through their union, so a DP over the distinct unions that lie
+inside no other finds the least slack without listing tuples; tuples are
+listed only where one fails.  This is desk-scale evidence, not a proof for
+general local rings; reports say so.
 
 The "num" lemma is a pure integer inequality.  We verify its reduced form
 
@@ -51,8 +51,10 @@ such as (k, ell) = (8, 4), where equality needs ell - 1 variables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from .combinatorics import tau
@@ -79,16 +81,6 @@ def enumerate_staircases(colength: int) -> list[tuple[int, ...]]:
             f"colength {colength} >= enumeration cap {DEFAULT_COLENGTH_CAP}"
         )
     return list(_partitions(colength, colength))
-
-
-def intersection_colength(
-        staircases: list[tuple[int, ...]] | tuple[tuple[int, ...], ...]) -> int:
-    """Colength of the intersection ideal: its staircase is the union, whose
-    columns are the tallest of each position, so the sum of the column-wise
-    maxima of the heights."""
-    if not staircases:
-        raise ValueError("need at least one staircase")
-    return sum(map(max, itertools.zip_longest(*staircases, fillvalue=0)))
 
 
 class LemmaReport(namedtuple(
@@ -152,20 +144,22 @@ def check_lemma_alg(
 
     The report (instance count, minimum slack, counterexamples in order
     and the instance a budget cut lands on) is an instance-by-instance
-    search's, found by one of two methods:
+    search's, found in one pass over the colength partitions:
 
-      * the DP decides the box when its closed-form instance count
-        (_alg_count) fits the budget and its least slack (_alg_min_slack,
-        from the largest union over the box, found without listing
-        tuples) is >= 0, so that no instance fails.  It assumes nothing
-        about tau, so it does not rest on the proof in the module
-        docstring;
-      * otherwise the walk (_alg_walk) visits every tuple: it lists the
-        counterexamples in order and cuts at the budget.
+      * a partition holds prod p(c_i) instances, with p the partition
+        numbers.  The search checks the budget once per partition, before
+        its first instance, so the first partition that would cross the
+        budget is the cut, and the partitions before it are checked;
+      * the least slack is tau(k, ell) minus the largest union over the
+        checked partitions (_alg_largest), found without listing tuples.
+        It assumes nothing about tau, so it does not rest on the proof in
+        the module docstring;
+      * tuples are listed (_alg_failures) only in a checked partition
+        whose largest union exceeds tau(k, ell), which holds every
+        counterexample, so none are listed for the program's own tau.
 
     A box whose largest colength, k - ell + 1, reaches DEFAULT_COLENGTH_CAP
-    goes to the walk, which raises at its first colength partition, before
-    any budget check.
+    raises before any of this.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
@@ -173,14 +167,41 @@ def check_lemma_alg(
         raise ValueError(f"need k >= ell (each ideal has colength >= 1), got k={k}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    top = k - ell + 1
+    if top >= DEFAULT_COLENGTH_CAP:
+        raise ResourceBudgetError(
+            f"colength {top} >= enumeration cap {DEFAULT_COLENGTH_CAP}")
 
+    p = [1] + [0] * top  # p[n]: the number of shapes of colength n
+    for part in range(1, top + 1):
+        for n in range(part, top + 1):
+            p[n] += p[n - part]
+    checked = 0
+    counted: list[tuple[int, ...]] = []
+    cut = None
+    for excess in _partitions(k - ell, ell):
+        instances = math.prod(p[h + 1] for h in excess)
+        if checked + instances > budget:
+            cut = excess
+            break
+        checked += instances
+        counted.append(excess)
+
+    bound = tau(k, ell)
+    states: dict = {}
+    largest = _alg_largest(counted, states)
+    counterexamples: list[dict] = []
+    if largest > bound:
+        for excess in counted:
+            if _largest_union(excess[1:], states) > bound:
+                counterexamples += _alg_failures(excess, ell, bound, states)
+    min_slack = bound - largest if counted else None
     box = {"k": k, "ell": ell}
-    if (k - ell + 1 < DEFAULT_COLENGTH_CAP
-            and (count := _alg_count(k, ell)) <= budget
-            and (least := _alg_min_slack(k, ell)) >= 0):
-        checked, min_slack, counterexamples = count, least, []
-    else:
-        checked, min_slack, counterexamples = _alg_walk(k, ell, budget, box)
+    if cut is not None:
+        big = [h + 1 for h in cut] or [1]
+        raise _cut(f"tuple budget {budget} exceeded at colengths "
+                   f"{tuple(big)} plus {ell - len(big)} slots of colength 1",
+                   "alg", box, checked, min_slack, counterexamples)
     return LemmaReport(
         lemma_id="alg",
         parameter_box=box,
@@ -194,79 +215,48 @@ def check_lemma_alg(
     )
 
 
-def _alg_walk(k: int, ell: int, budget: int,
-              box: dict) -> tuple[int, int | None, list[dict]]:
-    """(instances checked, minimum slack, counterexamples) of an alg box, by
-    listing every tuple of shapes for slots 2..ell; a budget cut raises
-    with the partial report.  Each shape is a tuple of column heights, and
-    the intersection colength is the sum of their column-wise maxima."""
-    bound = tau(k, ell)
-    checked = 0
-    min_slack: int | None = None
-    counterexamples: list[dict] = []
+def _alg_largest(partitions: list[tuple[int, ...]], states: dict) -> int:
+    """The largest colength of I_2 cap ... cap I_ell over the given colength
+    partitions (as excesses), 0 for none, found without listing tuples.
 
-    shapes: dict[int, list[tuple[int, ...]]] = {}  # by colength, built once
-    for excess in _partitions(k - ell, ell):
-        # descending, so the first slot has maximal colength: hypothesis holds.
-        big = [h + 1 for h in excess] or [1]
-        for c in big:  # big[0] first: a colength over the cap raises there
-            if c not in shapes:
-                shapes[c] = enumerate_staircases(c)
-        n_first = len(shapes[big[0]])
-        shape_lists = [shapes[c] for c in big[1:]]
-        pad = ell - len(big)  # the colength-1 slots after big
-        if checked + n_first * math.prod(map(len, shape_lists)) > budget:
-            raise _cut(f"tuple budget {budget} exceeded at colengths "
-                       f"{tuple(big)} plus {pad} slots of colength 1",
-                       "alg", box, checked, min_slack, counterexamples)
-        for rest in itertools.product(*shape_lists):
-            observed = intersection_colength(rest) if rest else 1
-            slack = bound - observed
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-            if slack < 0:
-                counterexamples.append({
-                    "colengths": big + [1] * pad,
-                    "staircases": [_cells(s) for s in rest + ((1,),) * pad],
-                    "observed": observed,
-                    "bound": bound,
-                })
-            checked += n_first
-    return checked, min_slack, counterexamples
-
-
-def _alg_count(k: int, ell: int) -> int:
-    """Instances of an alg box below the colength cap in closed form: the
-    sum over colength partitions of p(c_1) * prod_{i>=2} p(c_i), with p the
-    partition numbers (a colength-1 slot has p(1) = 1 shape)."""
-    top = k - ell + 1
-    p = [1] + [0] * top
-    for part in range(1, top + 1):
-        for n in range(part, top + 1):
-            p[n] += p[n - part]
-    return sum(math.prod(p[h + 1] for h in excess)
-               for excess in _partitions(k - ell, ell))
-
-
-def _alg_min_slack(k: int, ell: int) -> int:
-    """The least slack tau(k, ell) - colength(I_2 cap ... cap I_ell) over an
-    alg box below the colength cap, found without listing tuples.
-
-    Only the largest union over the box matters.  A partition's union is at
-    most its trivial bound 1 + sum_{i>=2} (c_i - 1) = k - c_1 - ell + 2,
-    since every staircase holds the origin, so the partitions are taken by
-    increasing first part, whose bounds fall, and the search stops at the
-    first bound that the largest union found so far reaches.  The union
-    states are shared by the partitions of one call.  Nothing about tau is
-    assumed: the union depends on the shapes alone.
+    A partition's union is at most its trivial bound 1 + sum_{i>=2} (c_i - 1)
+    = k - c_1 - ell + 2, since every staircase holds the origin, so the
+    partitions are taken by increasing first part, whose bounds fall, and
+    the search stops at the first bound that the largest union found so
+    far reaches.  The union states are shared through states.
     """
-    states: dict = {}
     largest = 0
-    for excess in sorted(_partitions(k - ell, ell), key=lambda e: e[:1]):
-        if 1 + k - ell - sum(excess[:1]) <= largest:
+    for excess in sorted(partitions, key=lambda e: e[:1]):
+        if 1 + sum(excess[1:]) <= largest:
             break
         largest = max(largest, _largest_union(excess[1:], states))
-    return tau(k, ell) - largest
+    return largest
+
+
+def _alg_failures(excess: tuple[int, ...], ell: int, bound: int,
+                  states: dict) -> list[dict]:
+    """The counterexamples of one colength partition, in the order of the
+    product of its slots' shape lists: the tuples of staircases for slots
+    2..ell whose union has more than bound cells.  The shapes are the
+    one-slot masks of _union_states, in enumerate_staircases order, and a
+    mask's ascending bits are its sorted cells (i, j)."""
+    big = [h + 1 for h in excess] or [1]
+    pad = ell - len(big)  # the colength-1 slots after big, each the origin
+    failures = []
+    for masks in itertools.product(*(_union_states((h,), states)
+                                     for h in excess[1:])):
+        observed = functools.reduce(operator.or_, masks, 1).bit_count()
+        if observed > bound:
+            failures.append({
+                "colengths": big + [1] * pad,
+                "staircases": [[divmod(b, DEFAULT_COLENGTH_CAP)
+                                for b in range(mask.bit_length())
+                                if mask >> b & 1] for mask in masks]
+                              + [[(0, 0)] for _ in range(pad)],
+                "observed": observed,
+                "bound": bound,
+            })
+    return failures
 
 
 def _largest_union(parts: tuple[int, ...], states: dict) -> int:
@@ -650,11 +640,6 @@ def _tails(max_K: int, n: int):
         runs.append((Ki + 1, top + 1))
         tail_K += 1 + top * (Ki + 1 - max_K)
         tail_q1 += (top + 1) * ((Ki + 1) // 2) - Ki // 2 - top * (max_K // 2)
-
-
-def _cells(heights: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The sorted cells (i, j) of a staircase: column i holds j < heights[i]."""
-    return [(i, j) for i, h in enumerate(heights) for j in range(h)]
 
 
 def _partitions(total: int, width: int):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import time
 import tracemalloc
 from typing import List
@@ -13,9 +15,7 @@ from cycliccover.errors import ResourceBudgetError
 from cycliccover.lemmas import (
     DEFAULT_TUPLE_BUDGET,
     LemmaReport,
-    _alg_count,
-    _alg_min_slack,
-    _alg_walk,
+    _alg_largest,
     _largest_union,
     _union_states,
     _num_count,
@@ -28,11 +28,19 @@ from cycliccover.lemmas import (
     check_lemma_alg,
     check_lemma_num,
     enumerate_staircases,
-    intersection_colength,
 )
 
 # p(1), p(2), ... by hand enumeration
 PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
+
+
+def intersection_colength(staircases) -> int:
+    """Colength of the intersection ideal of staircases given as column
+    heights: its staircase is the union, whose columns are the tallest of
+    each position, so the sum of the column-wise maxima of the heights."""
+    if not staircases:
+        raise ValueError("need at least one staircase")
+    return sum(map(max, itertools.zip_longest(*staircases, fillvalue=0)))
 
 
 def test_staircase_validation():
@@ -354,28 +362,32 @@ def test_lemma_alg_matches_cell_set_reference(monkeypatch, bent):
 
 
 def test_intersection_colength_matches_cell_union():
+    # The column heights, the cell sets and the package's bit masks (cell
+    # (i, j) at bit 12 i + j, one-slot lists in enumerate_staircases order)
+    # give the same union colength.
     heights = [s for c in range(1, 7) for s in enumerate_staircases(c)]
     cells = [s for c in range(1, 7) for s in reference_staircases(c)]
-    assert len(heights) == len(cells) == sum(PARTITION_COUNTS[:6])
+    masks = [s for c in range(1, 7) for s in _union_states((c - 1,), {})]
+    assert len(heights) == len(cells) == len(masks) == sum(PARTITION_COUNTS[:6])
     for r in (1, 2, 3):
         for pick in itertools.product(range(len(heights)), repeat=r):
-            assert intersection_colength([heights[i] for i in pick]) == \
-                len(frozenset().union(*(cells[i] for i in pick)))
+            union = len(frozenset().union(*(cells[i] for i in pick)))
+            assert intersection_colength([heights[i] for i in pick]) == union
+            assert functools.reduce(operator.or_, (masks[i] for i in pick)
+                                    ).bit_count() == union
 
 
-# -- alg: the DP against the walk ---------------------------------------------
+# -- alg: the one pass against the cell-set search ----------------------------
 
-ALG_NOTE = ("model: monomial ideals in 2 variables (staircases); "
-            "evidence for the local-ring statement, not a proof")
 # every box under the colength cap with 2 <= ell <= 10
 ALG_GRID = [(k, ell) for ell in range(2, 11) for k in range(ell, ell + 11)]
 
 
-def alg_walk_report(k, ell, budget=DEFAULT_TUPLE_BUDGET) -> LemmaReport:
-    """The alg report of the walk alone."""
-    box = {"k": k, "ell": ell}
-    return LemmaReport("alg", box, *_alg_walk(k, ell, budget, box),
-                       (ALG_NOTE,))
+def alg_budgets(k, ell):
+    """Budgets 0, count - 1, count and the default of a box, by its count
+    of instances."""
+    count = check_lemma_alg(k, ell).instances_checked
+    return 0, count - 1, count, DEFAULT_TUPLE_BUDGET
 
 
 def refuse_dp(*args):
@@ -383,50 +395,67 @@ def refuse_dp(*args):
 
 
 @pytest.mark.parametrize("bent", [0, 1, 2])
-def test_alg_dp_equals_the_walk_on_the_grid(monkeypatch, bent):
-    # _alg_min_slack reads the program's own tau, so a bent tau moves its
-    # least slack as it moves the walk's, below 0 included; there
-    # check_lemma_alg falls back to the walk, which lists every failing
-    # tuple in order.
+def test_alg_matches_the_reference_on_the_grid(monkeypatch, bent):
+    # A bent tau moves the least slack below 0 at some boxes, so failing
+    # tuples, listed in order, and the partial reports that carry them are
+    # compared too; budget count - 1 cuts at the last colength partition.
     monkeypatch.setattr(lemmas_module, "tau", lambda K, l: tau(K, l) - bent)
-    decided = []  # the DP's answers inside check_lemma_alg
+    kinds = set()  # (partial?, failing?) of the reports compared
+    for k, ell in ALG_GRID:
+        for budget in alg_budgets(k, ell):
+            expected = alg_outcome(reference_lemma_alg, k, ell, budget)
+            assert alg_outcome(check_lemma_alg, k, ell, budget) == \
+                expected, (k, ell, budget)
+            kinds.add((expected[0] is not None,
+                       bool(expected[2]["counterexamples"])))
+    if bent:
+        assert kinds == {(True, False), (False, False), (False, True),
+                         (True, True)}
+    else:
+        assert kinds == {(False, False), (True, False)}
+
+
+def test_alg_lists_no_tuple_when_tau_holds(monkeypatch):
+    # With the program's tau no instance fails, so no tuple is listed,
+    # a budget cut included; with tau lowered by 2 the same spy sees the
+    # partitions that hold counterexamples.
+    listed = []
+    failures = lemmas_module._alg_failures
 
     def spy(*args):
-        decided.append(_alg_min_slack(*args))
-        return decided[-1]
+        listed.append(args)
+        return failures(*args)
 
-    monkeypatch.setattr(lemmas_module, "_alg_min_slack", spy)
-    failing = 0
-    for k, ell in ALG_GRID:
-        walk = alg_walk_report(k, ell)
-        assert (_alg_count(k, ell), _alg_min_slack(k, ell)) == \
-            (walk.instances_checked, walk.max_slack), (k, ell)
-        assert check_lemma_alg(k, ell) == walk, (k, ell)
-        failing += not walk.passed
-    assert len(ALG_GRID) == len(decided) == 99
-    assert (failing > 0) == (min(decided) < 0) == (bent > 0)
-    assert max(decided) >= 0
-
-
-def test_alg_budget_under_the_count_leaves_the_cut_to_the_walk(monkeypatch):
-    monkeypatch.setattr(lemmas_module, "_alg_min_slack", refuse_dp)
-    for k, ell in ALG_GRID:
-        budget = _alg_count(k, ell) - 1
-        with pytest.raises(ResourceBudgetError) as exc_info:
+    monkeypatch.setattr(lemmas_module, "_alg_failures", spy)
+    boxes = [(k, ell, budget) for k, ell in ALG_GRID
+             for budget in alg_budgets(k, ell)]
+    assert len(boxes) == 4 * len(ALG_GRID) == 396
+    for k, ell, budget in boxes:
+        try:
             check_lemma_alg(k, ell, budget=budget)
-        with pytest.raises(ResourceBudgetError) as walk_info:
-            alg_walk_report(k, ell, budget)
-        assert str(exc_info.value) == str(walk_info.value)
-        assert exc_info.value.partial_report == walk_info.value.partial_report
-        if ell <= 5 and k <= ell + 6:  # today's partial report, on cell sets
-            assert alg_outcome(check_lemma_alg, k, ell, budget) == \
-                alg_outcome(reference_lemma_alg, k, ell, budget), (k, ell)
+        except ResourceBudgetError as exc:
+            assert exc.partial_report.passed, (k, ell, budget)
+    assert listed == []
+    monkeypatch.setattr(lemmas_module, "tau", lambda K, l: tau(K, l) - 2)
+    assert not check_lemma_alg(8, 3).passed and listed
+
+
+def test_alg_largest_over_every_cut_of_the_partitions():
+    # A cut checks a prefix of the colength partitions, and the early break
+    # over a prefix skips only partitions whose trivial bound the largest
+    # union found already reaches.
+    for k, ell in ALG_GRID:
+        excesses = list(_partitions(k - ell, ell))
+        largest = [_largest_union(e[1:], {}) for e in excesses]
+        for n in range(len(excesses) + 1):
+            assert _alg_largest(excesses[:n], {}) == max(largest[:n],
+                                                         default=0), (k, ell, n)
 
 
 @pytest.mark.parametrize("budget", [0, DEFAULT_TUPLE_BUDGET])
 def test_alg_box_at_the_colength_cap_raises_before_the_dp(monkeypatch, budget):
-    monkeypatch.setattr(lemmas_module, "_alg_count", refuse_dp)
-    monkeypatch.setattr(lemmas_module, "_alg_min_slack", refuse_dp)
+    for name in ("_partitions", "_alg_largest", "_union_states"):
+        monkeypatch.setattr(lemmas_module, name, refuse_dp)
     for ell in (2, 10, 10**7):
         for k in (ell + 11, ell + 30):
             with pytest.raises(ResourceBudgetError) as exc_info:

@@ -80,6 +80,7 @@ NUM_BOX = ("verify-lemma", "num", "--max-m", "3", "--max-K", "6",
            "--max-ell", "4", "--max-q", "3")
 ALG_CUT = ("verify-lemma", "alg", "--k", "8", "--ell", "3", "--budget", "30")
 ALG_WIDE = ("verify-lemma", "alg", "--k", "20", "--ell", "10")
+ALG_WIDE_CUT = (*ALG_WIDE, "--budget", "11576")
 RECORDS = ("--format", "structured-records")
 
 TRANSCRIPTS = {
@@ -99,6 +100,10 @@ TRANSCRIPTS = {
     # the widest box under the colength cap: 11,577 instances, slack 3
     ALG_WIDE: "4eb6c2b3a46a18472e9cc5d1ea6596548542e7c4569f1d70211938e349f5f3b0",
     (*ALG_WIDE, *RECORDS): "6c245698552f3a879dab1e0a17d2f829c85e5c24e997022cd8cfc1f95f7cca9e",
+    # one instance short: cut at its last colength partition, (2, ..., 2),
+    # after 10,553 instances, with no tuple listed
+    ALG_WIDE_CUT: "b3d13aa7f3c8acfd85f49373e54bcb07765b29d7ce77e362951c903e4f72b65d",
+    (*ALG_WIDE_CUT, *RECORDS): "bc25b3ef1840c8fb9ac60239ee78d636d262e7e1b7a0432c5bf650da98df37e7",
     # the same 42 colength partitions, each padded with 10^7 - 10 slots of 1
     ("verify-lemma", "alg", "--k", "10000010", "--ell", "10000000"):
         "05634fafd7a9ef5fb204737f51c3a5cf524ca6eb64dd66152fa5642143a4736a",
