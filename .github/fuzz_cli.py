@@ -38,12 +38,15 @@ COMMAND = ["cycliccover"]
 
 def draw(rng: random.Random, config: str) -> list:
     """One argv: a command, its positional, and each option set with
-    probability 3/4 (always, if required)."""
+    probability 3/4 (always, if required).  Where --ell is an integer
+    >= 2, --k is set to ell + 0..12 half the time: drawn apart, they
+    seldom give an alg box under the colength cap (ell <= k <= ell + 10)."""
     name = rng.choice(sorted(_COMMANDS))
     _, _, positional, flags = _COMMANDS[name]
     argv = [name]
     if positional is not None:
         argv.append(rng.choice(positional[3]))
+    options = {}
     for flag, (dest, convert, _, choices, required) in flags.items():
         if not (required or rng.random() < 0.75):
             continue
@@ -56,6 +59,11 @@ def draw(rng: random.Random, config: str) -> list:
             value = config
         else:  # examples --only
             value = rng.choice(("geiser", "no-such-entry"))
+        options[flag] = value
+    ell = options.get("--ell")
+    if isinstance(ell, int) and ell >= 2 and rng.random() < 0.5:
+        options["--k"] = ell + rng.randint(0, 12)
+    for flag, value in options.items():
         argv += [flag, str(value)]
     return argv
 

@@ -62,11 +62,12 @@ from .errors import ResourceBudgetError
 
 DEFAULT_COLENGTH_CAP = 12
 DEFAULT_TUPLE_BUDGET = 10**7
-# check_lemma_num's DP holds no more than this many list entries.  Its walk
-# tabulates tau at no more than this many (K, l) pairs, and tails holding
-# no more than this many parts in all; a larger box computes the rest as
-# it reaches them, so its memory stays bounded while the instance budget
-# bounds its time.
+# check_lemma_num's DP runs only where its lists, max_m tail lists and
+# fewer than 10 working lists of max_m * max_K + 1 sums each, hold no more
+# than this many entries in all.  Its walk tabulates tau at no more than
+# this many (K, l) pairs, and tails holding no more than this many parts in
+# all; a larger box computes the rest as it reaches them, so its memory
+# stays bounded while the instance budget bounds its time.
 NUM_TABLE_CAP = 10**5
 
 
@@ -326,12 +327,13 @@ def check_lemma_num(
       * the DP (_num_min_slack) computes the least q = 1 slack of the
         program's own tau over every (head, tail) without listing them;
         it assumes nothing about tau, so it does not rest on the proof in
-        the module docstring.  It decides the box when the closed-form
-        instance count (_num_count) fits the budget, its lists fit
-        NUM_TABLE_CAP and its step bound is at most the walk's cost
-        (_num_dp_fits), and its slack is >= 0, so that no instance fails;
+        the module docstring.  It decides the box when its lists fit
+        NUM_TABLE_CAP (checked first: the count below loops over m), the
+        closed-form instance count (_num_count) fits the budget and its
+        slack is >= 0, so that no instance fails;
       * otherwise the walk (_num_walk) visits every (head, tail): it lists
-        the counterexamples in order and cuts at the budget.
+        the counterexamples in order, cuts at the budget and takes the
+        boxes whose DP lists do not fit.
 
     Memory stays bounded whatever the box and the budget: the DP holds at
     most NUM_TABLE_CAP list entries, and so does each of the walk's tables.
@@ -352,7 +354,7 @@ def check_lemma_num(
             raise _cut(f"instance budget {budget} exceeded", "num", box,
                        budget, 0 if budget else None, [])
         min_slack, counterexamples = 0, []
-    elif (_num_dp_fits(max_m, max_K, max_ell)
+    elif ((max_m + 10) * (max_m * max_K + 1) <= NUM_TABLE_CAP
             and (count := _num_count(max_m, max_K, max_ell, max_q)) <= budget
             and (least := _num_min_slack(max_m, max_K, max_ell)) >= 0):
         checked, min_slack, counterexamples = count, least, []
@@ -499,27 +501,6 @@ def _num_count(max_m: int, max_K: int, max_ell: int, max_q: int) -> int:
     return sum(math.comb(pairs + m - 1, m)
                * (1 + max_q * (math.comb(max_K + max_m - m, max_m - m) - 1))
                for m in range(1, max_m + 1))
-
-
-def _num_dp_fits(max_m: int, max_K: int, max_ell: int) -> bool:
-    """Whether _num_min_slack's lists fit NUM_TABLE_CAP and its max-plus
-    steps are at most four per (head, tail) of the walk.
-
-    A max-plus step is one add and compare in a list comprehension; a
-    walk's (head, tail) runs a dozen bytecodes and costs seven or more of
-    them (0.34 us against 45 ns at the box (2, 2000, 3, 1), Python 3.11).
-    The lists index the sums 0..max_m * max_K: max_m tail lists and fewer
-    than 10 working lists.  Per l and m the DP multiplies the m-pair head
-    list, of m * (max_K - 1) + 1 sums, by max_K pair values twice and by a
-    tail list; the tail knapsack costs no more than one l's heads.
-    """
-    span = max_m * max_K + 1
-    if (max_m + 10) * span > NUM_TABLE_CAP:
-        return False
-    steps = max_ell * sum(
-        (m * (max_K - 1) + 1) * ((max_m - m) * max_K + 1 + 2 * max_K)
-        for m in range(1, max_m + 1))
-    return steps <= 4 * _num_count(max_m, max_K, max_ell, 1)
 
 
 def _num_min_slack(max_m: int, max_K: int, max_ell: int) -> int:

@@ -19,7 +19,6 @@ from cycliccover.lemmas import (
     _largest_union,
     _union_states,
     _num_count,
-    _num_dp_fits,
     _num_min_slack,
     _num_walk,
     _partitions,
@@ -808,10 +807,33 @@ def test_num_count_equals_the_walk_on_every_grid_box():
         assert _num_count(*box) == walk_report(box).instances_checked, box
 
 
+def test_num_dp_decides_every_box_whose_lists_fit(monkeypatch):
+    # With the program's tau and the default budget, the DP decides every
+    # box whose count and lists fit, small max_ell included, where a walk
+    # step costs least: the walk is never called.
+    def refuse(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(lemmas_module, "_num_walk", refuse)
+    boxes = [box for box in DP_GRID if box[0] >= 2] + [(2, 500, 2, 1)]
+    for box in boxes:
+        report = check_lemma_num(*box)
+        assert report.max_slack == 0 and report.passed, box
+        assert report.instances_checked == _num_count(*box), box
+    assert len(boxes) == 129
+
+
 def test_num_small_table_cap_forces_the_walk(monkeypatch):
     box = (4, 5, 4, 2)
+    ran = []  # the DP's answers inside check_lemma_num
+
+    def spy(*args):
+        ran.append(_num_min_slack(*args))
+        return ran[-1]
+
+    monkeypatch.setattr(lemmas_module, "_num_min_slack", spy)
     expected = check_lemma_num(*box)
-    assert _num_dp_fits(*box[:3])
+    assert ran == [0]
 
     def refuse(*args):
         raise AssertionError("the DP ran")
@@ -819,8 +841,8 @@ def test_num_small_table_cap_forces_the_walk(monkeypatch):
     monkeypatch.setattr(lemmas_module, "_num_min_slack", refuse)
     # a budget under the instance count leaves the cut to the walk
     assert_num_matches_reference(box, expected.instances_checked - 1)
+    # so do lists over the cap: (4 + 10) * (4 * 5 + 1) = 294 entries
     monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 40)
-    assert not _num_dp_fits(*box[:3])
     assert check_lemma_num(*box) == expected == walk_report(box)
 
 
