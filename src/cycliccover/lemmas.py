@@ -62,13 +62,17 @@ from .errors import ResourceBudgetError
 
 DEFAULT_COLENGTH_CAP = 12
 DEFAULT_TUPLE_BUDGET = 10**7
-# check_lemma_num's DP runs only where its lists, max_m tail lists and
-# fewer than 10 working lists of max_m * max_K + 1 sums each, hold no more
-# than this many entries in all.  Its walk tabulates tau at no more than
-# this many (K, l) pairs, and tails holding no more than this many parts in
-# all; a larger box computes the rest as it reaches them, so its memory
-# stays bounded while the instance budget bounds its time.
+# check_lemma_num refuses, before any work, a num box of max_m >= 2 whose
+# DP would hold more than NUM_TABLE_CAP list entries in all (max_m tail
+# lists and fewer than 10 working lists of max_m * max_K + 1 sums each), or
+# do more than NUM_WORK_CAP steps (_num_work).  So every num call costs a
+# closed form, one DP of bounded memory and time, or an immediate refusal,
+# whatever the box and the budget.  The largest work among the boxes under
+# the list cap whose instance count fits DEFAULT_TUPLE_BUDGET is that of
+# (2, 2581, 2, 1), 13,344,069 steps, and a DP at the work cap takes about
+# 1-2 s (Python 3.11, 2-vCPU VM).
 NUM_TABLE_CAP = 10**5
+NUM_WORK_CAP = 14 * 10**6
 
 
 def enumerate_staircases(colength: int) -> list[tuple[int, ...]]:
@@ -319,24 +323,25 @@ def check_lemma_num(
     The report (instance count, minimum slack, counterexamples in order
     and the instance a budget cut lands on) is an instance-by-instance
     search's.  The left side is nonincreasing in q, so the least slack of
-    a (head, tail) is its q = 1 slack, and one of three methods finds it:
+    a (head, tail) is its q = 1 slack.  A box takes one of three paths:
 
-      * a box of single pairs (max_m = 1) needs none: each instance is a
-        pair against its own tau, at slack 0 whatever tau is, so its count
-        and any cut are known in closed form;
-      * the DP (_num_min_slack) computes the least q = 1 slack of the
-        program's own tau over every (head, tail) without listing them;
-        it assumes nothing about tau, so it does not rest on the proof in
-        the module docstring.  It decides the box when its lists fit
-        NUM_TABLE_CAP (checked first: the count below loops over m), the
-        closed-form instance count (_num_count) fits the budget and its
-        slack is >= 0, so that no instance fails;
-      * otherwise the walk (_num_walk) visits every (head, tail): it lists
-        the counterexamples in order, cuts at the budget and takes the
-        boxes whose DP lists do not fit.
+      * a box of single pairs (max_m = 1) needs no search: each instance
+        is a pair against its own tau, at slack 0 whatever tau is;
+      * a box whose DP lists pass NUM_TABLE_CAP, or whose DP work
+        (_num_work) passes NUM_WORK_CAP, is refused before any work, with
+        no partial report;
+      * any other box runs the DP (_num_min_slack), which computes the
+        least q = 1 slack of the program's own tau over every (head, tail)
+        without listing them.  It assumes nothing about tau, so it does
+        not rest on the proof in the module docstring.
 
-    Memory stays bounded whatever the box and the budget: the DP holds at
-    most NUM_TABLE_CAP list entries, and so does each of the walk's tables.
+    A least slack >= 0 means no instance fails, so the closed-form count
+    (_num_count) decides the rest: within the budget it is the report's,
+    and past it the search is cut after budget instances, at slack 0 (its
+    first instance, pair (1, 2) with no tail, is a pair against its own
+    tau), or None at budget 0.  Only a negative least slack, which the
+    program's own tau never gives, runs the walk (_num_walk), which lists
+    the counterexamples in order and cuts at the budget.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):
@@ -348,24 +353,30 @@ def check_lemma_num(
         raise ValueError(f"budget must be >= 0, got {budget}")
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
-    if max_m == 1:
-        checked = max_K * (max_ell - 1)
+    least = 0
+    if max_m > 1:  # the lists first: _num_work and _num_count loop over m
+        lists = (max_m + 10) * (max_m * max_K + 1)
+        if lists > NUM_TABLE_CAP:
+            raise ResourceBudgetError(
+                f"num DP lists of {lists} entries exceed cap {NUM_TABLE_CAP}")
+        work = _num_work(max_m, max_K, max_ell)
+        if work > NUM_WORK_CAP:
+            raise ResourceBudgetError(
+                f"num DP work of {work} steps exceeds cap {NUM_WORK_CAP}")
+        least = _num_min_slack(max_m, max_K, max_ell)
+    if least < 0:
+        checked, least, counterexamples = _num_walk(
+            max_m, max_K, max_ell, max_q, budget, box)
+    else:
+        checked, counterexamples = _num_count(max_m, max_K, max_ell, max_q), []
         if checked > budget:
             raise _cut(f"instance budget {budget} exceeded", "num", box,
                        budget, 0 if budget else None, [])
-        min_slack, counterexamples = 0, []
-    elif ((max_m + 10) * (max_m * max_K + 1) <= NUM_TABLE_CAP
-            and (count := _num_count(max_m, max_K, max_ell, max_q)) <= budget
-            and (least := _num_min_slack(max_m, max_K, max_ell)) >= 0):
-        checked, min_slack, counterexamples = count, least, []
-    else:
-        checked, min_slack, counterexamples = _num_walk(
-            max_m, max_K, max_ell, max_q, budget, box)
     return LemmaReport(
         lemma_id="num",
         parameter_box=box,
         instances_checked=checked,
-        max_slack=min_slack,
+        max_slack=least,
         counterexamples=counterexamples,
         notes=("reduced form: rhs is tau(sum K_i, max l_i over the head)",),
     )
@@ -374,120 +385,66 @@ def check_lemma_num(
 def _num_walk(max_m: int, max_K: int, max_ell: int, max_q: int, budget: int,
               box: dict) -> tuple[int, int | None, list[dict]]:
     """(instances checked, minimum slack, counterexamples) of a num box, by
-    visiting every (head, tail); a budget cut raises with the partial
-    report.
+    visiting every (head, tail) in the instance-by-instance search's order;
+    a budget cut raises with the partial report.  check_lemma_num runs it
+    only where the DP has found a negative least slack, on a box that fits
+    both caps.
 
     Each (head, tail) is decided by its q = 1 slack and all its instances
     are counted in one step; q is walked one by one only where that slack
     is negative (to list every failing q) or the step would cross the
-    budget.  A head extends a prefix from _prefixes by one pair and a tail
-    comes from _tails, each in O(1) steps, so a call costs O(1) integer
-    steps per (head, tail).
-
-    The tau rows, the tail tables and the head-pair list each hold at most
-    NUM_TABLE_CAP entries, and none reaches past what the budget can (see
-    K_reach below); values past them are computed as the walk reaches them.
+    budget.  The first head's tails cost an instance each, and so does each
+    one-pair head, so the cut comes before head pair budget + 1 or tail
+    part budget + 1: neither pool holds more than budget + 1 items.
     """
-    # Each m = 1 head and each tail costs an instance, so the walk is cut
-    # before pair index budget + 1 (l <= budget + 2), any K_i > budget + 1
-    # and any instance of more than budget + 1 pairs (the first head walks
-    # every shorter tail length first).
-    K_reach = min(max_K, budget + 1)
-    top_ell = min(max_ell, budget + 2)
-    r_reach = min(max_m, budget + 1)
-    # rhs_tau[l][K] = tau(K, l) for K <= r_reach * K_reach, within the cap;
-    # index 0 is never read (K >= m >= 1), and no row is built if K_top = 0.
-    K_top = min(r_reach * K_reach, NUM_TABLE_CAP // (top_ell - 1))
-    rhs_tau = {l: [0] + [tau(K, l) for K in range(1, K_top + 1)]
-               for l in range(2, top_ell + 1)} if K_top else {}
-    # tables[n] = _tails(K_reach, n), for the tail lengths that fit the cap.
-    tables: list[list] = []
-    parts = 0
-    for n in range(r_reach):
-        parts += math.comb(K_reach + n - 1, n) * n
-        if parts > NUM_TABLE_CAP:
-            break
-        tables.append([(tuple(runs), tail_K, tail_q1)
-                       for runs, tail_K, tail_q1 in _tails(K_reach, n)])
-    # Head pair i is (K, l) = (i // width + 1, i % width + 2): pairs in
-    # K-major order, so multisets of indices walk in the order of
-    # combinations_with_replacement over the pairs.
-    width = max_ell - 1
-    n_pairs = K_reach * width
-    pairs: list = []  # pair(i) for i < NUM_TABLE_CAP, listed when m = 2 starts
-
-    def pair(i):  # (K, l, tau(K, l)) of pair i
-        if i < len(pairs):
-            return pairs[i]
-        K, l = divmod(i, width)
-        return K + 1, l + 2, tau(K + 1, l + 2)
-
-    def pairs_from(start):  # pair(i) for start <= i < n_pairs
-        # past the list, K and l run in nested loops: no divmod per pair
-        K0, l0 = divmod(max(start, len(pairs)), width)
-        return itertools.chain(
-            itertools.islice(pairs, start, None),
-            ((K, l, tau(K, l)) for K in range(K0 + 1, K_reach + 1)
-             for l in range(l0 + 2 if K == K0 + 1 else 2, max_ell + 1)))
-
+    pairs = tuple(itertools.islice(
+        ((K, l) for K in range(1, max_K + 1) for l in range(2, max_ell + 1)),
+        budget + 1))
+    parts = tuple(range(1, min(max_K, budget + 1) + 1))
     checked = 0
     min_slack: int | None = None
     counterexamples: list[dict] = []
-
     for m in range(1, max_m + 1):
-        if m == 2:  # each pair cost the m = 1 walk an instance
-            pairs += [pair(i) for i in range(min(n_pairs, NUM_TABLE_CAP))]
-        for prefix, start, pre_K, pre_ell, pre_sum in _prefixes(
-                m - 1, pair, n_pairs - 1):
-            for K, l, t in pairs_from(start):
-                head_K = pre_K + K
-                ell = l if l > pre_ell else pre_ell
-                head_sum = pre_sum + t
-                rhs_row = rhs_tau.get(ell, ())
-                in_row = len(rhs_row) - head_K  # covers tail_K < in_row
-                for n in range(max_m - m + 1):
-                    steps = max_q if n else 1
-                    for tail, tail_K, tail_q1 in (tables[n] if n < len(tables)
-                                                  else _tails(K_reach, n)):
-                        # a single pair's own tau is its rhs with no tail
-                        rhs = (rhs_row[head_K + tail_K] if tail_K < in_row
-                               else tau(head_K + tail_K, ell)
-                               if tail_K or prefix else head_sum)
-                        slack = rhs - head_sum - tail_q1
-                        if slack >= 0 and checked + steps <= budget:
-                            checked += steps
-                            if min_slack is None or slack < min_slack:
-                                min_slack = slack
-                            continue
-                        if slack >= 0:  # the budget ends inside these q
-                            # the slack only grows with q: q = 1 holds the
-                            # least, if it fits, and no q is a counterexample
-                            if checked < budget and (min_slack is None
-                                                     or slack < min_slack):
-                                min_slack = slack
+        for head in itertools.combinations_with_replacement(pairs, m):
+            head_K = sum(K for K, _ in head)
+            ell = max(l for _, l in head)
+            head_sum = sum(tau(K, l) for K, l in head)
+            for n in range(max_m - m + 1):
+                steps = max_q if n else 1
+                for tail in itertools.combinations_with_replacement(parts, n):
+                    rhs = tau(head_K + sum(tail), ell)
+                    slack = rhs - head_sum - sum(Ki // 2 for Ki in tail)
+                    if slack >= 0 and checked + steps <= budget:
+                        checked += steps
+                        if min_slack is None or slack < min_slack:
+                            min_slack = slack
+                        continue
+                    if slack >= 0:  # the budget ends inside these q
+                        # the slack only grows with q: q = 1 holds the
+                        # least, if it fits, and no q is a counterexample
+                        if checked < budget and (min_slack is None
+                                                 or slack < min_slack):
+                            min_slack = slack
+                        raise _cut(f"instance budget {budget} exceeded",
+                                   "num", box, budget, min_slack,
+                                   counterexamples)
+                    for q in range(1, steps + 1):
+                        lhs = head_sum + sum(Ki // (q + 1) for Ki in tail)
+                        checked += 1
+                        if checked > budget:
                             raise _cut(f"instance budget {budget} exceeded",
-                                       "num", box, budget, min_slack,
+                                       "num", box, checked - 1, min_slack,
                                        counterexamples)
-                        for q in range(1, steps + 1):
-                            lhs = head_sum + sum(c * (Ki // (q + 1))
-                                                 for Ki, c in tail)
-                            checked += 1
-                            if checked > budget:
-                                raise _cut(f"instance budget {budget} exceeded",
-                                           "num", box, checked - 1, min_slack,
-                                           counterexamples)
-                            if min_slack is None or rhs - lhs < min_slack:
-                                min_slack = rhs - lhs
-                            if lhs > rhs:
-                                counterexamples.append({
-                                    "head": [[i // width + 1, i % width + 2]
-                                             for i in prefix] + [[K, l]],
-                                    "tail": [Ki for Ki, c in tail
-                                             for _ in range(c)],
-                                    "q": q,
-                                    "lhs": lhs,
-                                    "rhs": rhs,
-                                })
+                        if min_slack is None or rhs - lhs < min_slack:
+                            min_slack = rhs - lhs
+                        if lhs > rhs:
+                            counterexamples.append({
+                                "head": [list(p) for p in head],
+                                "tail": list(tail),
+                                "q": q,
+                                "lhs": lhs,
+                                "rhs": rhs,
+                            })
     return checked, min_slack, counterexamples
 
 
@@ -501,6 +458,32 @@ def _num_count(max_m: int, max_K: int, max_ell: int, max_q: int) -> int:
     return sum(math.comb(pairs + m - 1, m)
                * (1 + max_q * (math.comb(max_K + max_m - m, max_m - m) - 1))
                for m in range(1, max_m + 1))
+
+
+def _num_work(max_m: int, max_K: int, max_ell: int) -> int:
+    """The work of _num_min_slack in closed form from its list lengths:
+    len(a) * len(b) element steps and a charge of 50 per _maxplus(a, b)
+    call, plus one per tau call.  The charge stands for a call's own cost
+    and the list work around it, which dominate on short lists: (3, 1,
+    10^5) has 1.4 M steps and tau calls and 0.8 M calls, and takes about
+    1.3 s, where a step of a long product takes about 50 ns.
+
+    Sums of n parts from 1..max_K take n * (max_K - 1) + 1 values, and
+    adding a part to them is a product with the max_K values of one part.
+    Such steps grow the tails from 0 to max_m - 1 parts once and, for each
+    L, below from 0 to max_m - 1 pairs, and turn each below of m - 1 pairs
+    into the heads of m pairs.  Those heads then meet tail_best of
+    max_m - m parts, (max_m - m) * max_K + 1 values, and each L computes
+    one tau row of max_m * max_K values.
+    """
+    grow = 0  # the steps from 0 to max_m - 1 parts
+    per_L = max_m * max_K  # the tau row
+    for m in range(1, max_m + 1):
+        below = (m - 1) * (max_K - 1) + 1
+        step = below * max_K + 50
+        grow += step if m < max_m else 0
+        per_L += step + (below + max_K - 1) * ((max_m - m) * max_K + 1) + 50
+    return grow + (max_ell - 1) * (per_L + grow)
 
 
 def _num_min_slack(max_m: int, max_K: int, max_ell: int) -> int:
@@ -565,62 +548,6 @@ def _cut(message: str, lemma_id: str, box: dict, checked: int,
     return ResourceBudgetError(message, partial_report=LemmaReport(
         lemma_id, box, checked, min_slack, counterexamples,
         ("partial: budget exhausted",), partial=True))
-
-
-def _prefixes(size: int, pair, last: int):
-    """(indices, last index, K sum, max l, tau sum) for each size-multiset of
-    the pair indices 0..last, in combinations_with_replacement order, where
-    pair(i) is (K, l, tau(K, l)) of pair i; size 0 gives one empty prefix,
-    whose last index is 0.
-
-    indices is one list, changed in place for the next prefix, and sums[j]
-    holds the running sums of indices[:j].  The next prefix raises the
-    rightmost index below last by one and sets the indices after it equal
-    to it, so only the sums from that level on are refilled: a prefix costs
-    O(1) steps on average whatever size is.
-    """
-    indices = [0] * size
-    sums = [(0, 0, 0)] * (size + 1)
-    i = j = 0
-    while True:
-        if j < size:
-            K, l, t = pair(i)
-            for k in range(j, size):
-                indices[k] = i
-                pre_K, pre_ell, pre_sum = sums[k]
-                sums[k + 1] = pre_K + K, max(pre_ell, l), pre_sum + t
-        yield indices, i, *sums[size]
-        j = size - 1
-        while j >= 0 and indices[j] == last:
-            j -= 1
-        if j < 0:
-            return
-        i = indices[j] + 1
-
-
-def _tails(max_K: int, n: int):
-    """(runs, sum of tail, q = 1 tail term) for each n-multiset of 1..max_K,
-    in combinations_with_replacement order, where runs lists the tail's
-    (value, multiplicity) pairs by increasing value.
-
-    runs is one list, changed in place for the next tail: raising the
-    rightmost part below max_K by one and setting the parts after it (all
-    max_K) equal to it changes at most two runs, and the sum and the q = 1
-    term by a closed form, so a step is O(1) whatever n and max_K are.
-    """
-    runs = [(1, n)] if n else []
-    tail_K, tail_q1 = n, 0
-    while True:
-        yield runs, tail_K, tail_q1
-        top = runs.pop()[1] if runs and runs[-1][0] == max_K else 0
-        if not runs:
-            return
-        Ki, c = runs.pop()
-        if c > 1:
-            runs.append((Ki, c - 1))
-        runs.append((Ki + 1, top + 1))
-        tail_K += 1 + top * (Ki + 1 - max_K)
-        tail_q1 += (top + 1) * ((Ki + 1) // 2) - Ki // 2 - top * (max_K // 2)
 
 
 def _partitions(total: int, width: int):

@@ -496,38 +496,32 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert (proc.returncode, err) == (141, b"")
 
 
-@pytest.mark.parametrize("max_K, max_ell", [(10**8, 3), (3, 10**8)])
-def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell):
+@pytest.mark.parametrize("max_K, max_ell, refusal", [
+    (10**8, 3, "num DP lists of 5600000014 entries exceed cap 100000"),
+    (3, 10**8, "num DP work of 73899999438 steps exceeds cap 14000000"),
+])
+def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell,
+                                                             refusal):
+    # refused before any work, whatever the budget: no partial report
     proc = cli_under_memory_limit(
         "verify-lemma", "num", "--max-K", str(max_K),
         "--max-ell", str(max_ell), "--budget", "0")
-    assert (proc.returncode, proc.stderr) == (
-        3, "budget exhausted: instance budget 0 exceeded\n")
-    assert proc.stdout == (
-        "lemma num: PARTIAL\n"
-        f"box max_K={max_K} max_ell={max_ell} max_m=4 max_q=5\n"
-        "instances checked: 0\n"
-        "min slack (bound - observed): None\n"
-        "note: partial: budget exhausted\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"budget exhausted: {refusal}\n")
 
 
 def test_verify_lemma_num_huge_box_at_large_budget_is_bounded():
-    # The m = 1 heads come from a generator, so the walk, not a table of
-    # 3,000,001 head pairs, meets the budget: the cut comes among the
-    # first head's one-part tails.
+    # 3,000,001 head pairs fit the budget, but the DP's lists would not fit
+    # the cap: the box is refused before any work, where walking it to the
+    # cut took most of 2 s.
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = cli_under_memory_limit(
         "verify-lemma", "num", "--max-K", str(10**8), "--max-ell", "3",
         "--budget", "3000000")
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert (proc.returncode, proc.stderr) == (
-        3, "budget exhausted: instance budget 3000000 exceeded\n")
-    assert proc.stdout == (
-        "lemma num: PARTIAL\n"
-        "box max_K=100000000 max_ell=3 max_m=4 max_q=5\n"
-        "instances checked: 3000000\n"
-        "min slack (bound - observed): 0\n"
-        "note: partial: budget exhausted\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "budget exhausted: num DP lists of 5600000014 entries exceed "
+               "cap 100000\n")
     cpu_s = (after.ru_utime - before.ru_utime
              + after.ru_stime - before.ru_stime)
     assert cpu_s < 2, cpu_s

@@ -14,16 +14,18 @@ from cycliccover.combinatorics import tau
 from cycliccover.errors import ResourceBudgetError
 from cycliccover.lemmas import (
     DEFAULT_TUPLE_BUDGET,
+    NUM_TABLE_CAP,
+    NUM_WORK_CAP,
     LemmaReport,
     _alg_largest,
     _largest_union,
+    _maxplus,
     _union_states,
     _num_count,
     _num_min_slack,
     _num_walk,
+    _num_work,
     _partitions,
-    _prefixes,
-    _tails,
     check_lemma_alg,
     check_lemma_num,
     enumerate_staircases,
@@ -640,22 +642,11 @@ def test_lemma_num_matches_reference_at_every_cut_of_a_four_pair_box(
         assert_num_matches_reference(box, budget)
 
 
-@pytest.mark.parametrize("cap", [0, 5, 40])
-def test_lemma_num_matches_reference_past_table_cap(monkeypatch, cap):
-    # Tails and tau values past the cap are computed as they are reached.
-    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", cap)
-    monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS["minus_one_from_K_7"])
-    for box in GRID[::3]:
-        for budget in BUDGETS:
-            assert_num_matches_reference(box, budget)
-
-
-def test_lemma_num_builds_nothing_the_walk_does_not_reach(monkeypatch):
-    # 30,001 head pairs and K_i up to 30,001 fit the budget, but the
-    # cut comes among the first head's one-part tails: no pair list, no
-    # copy of 1..max_K for the tails, and with the cap at 10 two tau rows
-    # of 6 entries.
-    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 10)
+def test_lemma_num_huge_max_K_is_refused_before_any_work():
+    # 30,001 head pairs and K_i up to 30,001 fit the budget, but the DP's
+    # lists would hold (4 + 10) * (4 * 10^8 + 1) entries: the box is
+    # refused before any list is built, with no partial report.  Walking
+    # it to the cut once built 6 MB of tables.
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError) as exc_info:
@@ -663,16 +654,17 @@ def test_lemma_num_builds_nothing_the_walk_does_not_reach(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exc_info.value.partial_report.instances_checked == 30000
-    assert peak < 2**20, peak  # 3 KB here; 6 MB with the tables built
+    assert str(exc_info.value) == (
+        f"num DP lists of 5600000014 entries exceed cap {NUM_TABLE_CAP}")
+    assert exc_info.value.partial_report is None
+    assert peak < 2**20, peak
 
 
-def test_lemma_num_head_pairs_stay_under_the_cap(monkeypatch):
-    # 20,000 head pairs, two instances each at m = 1, use the whole budget,
-    # so the walk reaches m = 2 with none left: only the first 1,000 pairs
-    # are listed, and a pair past them is computed when the walk reaches
-    # it.  Listing every pair took 3.1 MB here.
-    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 1000)
+def test_lemma_num_head_pairs_stay_under_the_cap():
+    # 20,000 head pairs, two instances each at m = 1, use the whole budget.
+    # The DP's lists fit, and so does its work, so it finds the least
+    # slack 0 over every (head, tail) and makes the cut at 40,000 in
+    # closed form, listing no pair.  Listing every pair took 3.1 MB.
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError) as exc_info:
@@ -681,14 +673,13 @@ def test_lemma_num_head_pairs_stay_under_the_cap(monkeypatch):
     finally:
         tracemalloc.stop()
     assert exc_info.value.partial_report.instances_checked == 40000
-    assert peak < 2**19, peak  # 137 KB here
+    assert peak < 2**19, peak
 
 
-def test_lemma_num_huge_max_m_stays_small_at_a_small_budget():
-    # Each tail length costs the first head an instance, so the budget cuts
-    # the walk after about 1,000 lengths: neither the tail walks nor the
-    # tau rows may grow with max_m.  Listing a walk per tail length took
-    # over 100 MB at max_m = 10^6, and a tau row up to max_m took 4.8 MB.
+def test_lemma_num_huge_max_m_is_refused_before_any_work():
+    # 10^8 tail lengths: the DP's lists would hold about 10^16 entries, so
+    # the box is refused at once, where a walk per tail length once took
+    # over 100 MB and a tau row up to max_m 4.8 MB.
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError) as exc_info:
@@ -696,58 +687,25 @@ def test_lemma_num_huge_max_m_stays_small_at_a_small_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exc_info.value.partial_report.instances_checked == 1000
-    assert peak < 2**20, peak  # 76 KB here
+    lists = (10**8 + 10) * (10**8 + 1)
+    assert str(exc_info.value) == (
+        f"num DP lists of {lists} entries exceed cap {NUM_TABLE_CAP}")
+    assert exc_info.value.partial_report is None
+    assert peak < 2**20, peak
 
 
-@pytest.mark.parametrize("max_K, max_ell", [(1, 2), (1, 4), (2, 3), (3, 2),
-                                            (2, 4)])
-def test_heads_walk_combinations_with_replacement(max_K, max_ell):
-    # check_lemma_num extends each prefix by every pair from the prefix's
-    # last on; pair i is (K, l) = (i // width + 1, i % width + 2).
-    width = max_ell - 1
-    pairs = [(K, l, tau(K, l)) for K in range(1, max_K + 1)
-             for l in range(2, max_ell + 1)]
-    for m in range(1, 6):
-        walked = [
-            ([[j // width + 1, j % width + 2] for j in indices + [i]],
-             pre_K + K, max(pre_ell, l), pre_sum + t)
-            for indices, start, pre_K, pre_ell, pre_sum
-            in _prefixes(m - 1, pairs.__getitem__, len(pairs) - 1)
-            for i, (K, l, t) in enumerate(pairs[start:], start)]
-        assert walked == [
-            ([[K, l] for K, l, _ in head], sum(K for K, _, _ in head),
-             max(l for _, l, _ in head), sum(t for _, _, t in head))
-            for head in itertools.combinations_with_replacement(pairs, m)], \
-            (max_K, max_ell, m)
-
-
-@pytest.mark.parametrize("max_K", range(1, 6))
-def test_tails_walk_combinations_with_replacement(max_K):
-    for n in range(7):
-        walked = [([Ki for Ki, c in runs for _ in range(c)], tail_K, tail_q1)
-                  for runs, tail_K, tail_q1 in _tails(max_K, n)]
-        assert walked == [
-            (list(tail), sum(tail), sum(Ki // 2 for Ki in tail))
-            for tail in itertools.combinations_with_replacement(
-                range(1, max_K + 1), n)], (max_K, n)
-
-
-def test_lemma_num_long_tails_cost_no_more_per_tail():
-    # Past the table cap each of the 20,000 tail lengths is one tail of
-    # ones; summing each tail, as the walk once did, took 22 s in all and
-    # gave this report.
+def test_lemma_num_long_tails_are_refused_at_once():
+    # 20,000 tail lengths of ones: summing each tail, as the walk once did,
+    # took 22 s to reach the cut; the DP's lists would hold 400,220,010
+    # entries, so the box is refused before any work.
     start = time.perf_counter()
     with pytest.raises(ResourceBudgetError) as exc_info:
         check_lemma_num(20000, 1, 3, 2, budget=100000)
     elapsed = time.perf_counter() - start
-    assert str(exc_info.value) == "instance budget 100000 exceeded"
-    assert exc_info.value.partial_report == LemmaReport(
-        lemma_id="num",
-        parameter_box={"max_m": 20000, "max_K": 1, "max_ell": 3, "max_q": 2},
-        instances_checked=100000, max_slack=0, counterexamples=[],
-        notes=("partial: budget exhausted",), partial=True)
-    assert elapsed < 2, elapsed
+    assert str(exc_info.value) == (
+        f"num DP lists of 400220010 entries exceed cap {NUM_TABLE_CAP}")
+    assert exc_info.value.partial_report is None
+    assert elapsed < 0.1, elapsed
 
 
 @given(head=st.integers(min_value=-50, max_value=50),
@@ -823,7 +781,7 @@ def test_num_dp_decides_every_box_whose_lists_fit(monkeypatch):
     assert len(boxes) == 129
 
 
-def test_num_small_table_cap_forces_the_walk(monkeypatch):
+def test_num_small_caps_refuse(monkeypatch):
     box = (4, 5, 4, 2)
     ran = []  # the DP's answers inside check_lemma_num
 
@@ -834,16 +792,140 @@ def test_num_small_table_cap_forces_the_walk(monkeypatch):
     monkeypatch.setattr(lemmas_module, "_num_min_slack", spy)
     expected = check_lemma_num(*box)
     assert ran == [0]
+    # a budget under the instance count: the DP's slack makes the cut
+    assert_num_matches_reference(box, expected.instances_checked - 1)
+    assert ran == [0, 0]
 
     def refuse(*args):
         raise AssertionError("the DP ran")
 
     monkeypatch.setattr(lemmas_module, "_num_min_slack", refuse)
-    # a budget under the instance count leaves the cut to the walk
-    assert_num_matches_reference(box, expected.instances_checked - 1)
-    # so do lists over the cap: (4 + 10) * (4 * 5 + 1) = 294 entries
-    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 40)
-    assert check_lemma_num(*box) == expected == walk_report(box)
+    # lists of (4 + 10) * (4 * 5 + 1) = 294 entries, or the work, one over
+    # its cap: either refuses before the DP, at any budget
+    work = _num_work(*box[:3])
+    for name, cap, message in (
+            ("NUM_TABLE_CAP", 293, "num DP lists of 294 entries exceed cap 293"),
+            ("NUM_WORK_CAP", work - 1,
+             f"num DP work of {work} steps exceeds cap {work - 1}")):
+        with monkeypatch.context() as patch:
+            patch.setattr(lemmas_module, name, cap)
+            for budget in (0, expected.instances_checked):
+                with pytest.raises(ResourceBudgetError) as exc_info:
+                    check_lemma_num(*box, budget=budget)
+                assert str(exc_info.value) == message
+                assert exc_info.value.partial_report is None
+    # both at their cap: the DP runs
+    monkeypatch.setattr(lemmas_module, "_num_min_slack", spy)
+    monkeypatch.setattr(lemmas_module, "NUM_WORK_CAP", work)
+    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 294)
+    assert check_lemma_num(*box) == expected
+
+
+def test_num_cuts_of_the_program_tau_never_walk(monkeypatch):
+    # With the program's tau the DP's least slack is 0, so the closed-form
+    # count makes every cut, at every budget, and the walk never runs
+    # (test_lemma_num_matches_reference_on_grid checks the reports).
+    def refuse(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(lemmas_module, "_num_walk", refuse)
+    cuts = 0
+    for box in GRID + DEEP_GRID:
+        for budget in BUDGETS:
+            try:
+                check_lemma_num(*box, budget=budget)
+            except ResourceBudgetError as exc:
+                assert exc.partial_report.instances_checked == budget
+                cuts += 1
+    assert cuts == 914  # of the 1,512 (box, budget) runs
+
+
+def test_num_work_equals_an_instrumented_count(monkeypatch):
+    # _num_work charges len(a) * len(b) steps plus 50 per _maxplus(a, b)
+    # call, and one per tau call; a spy on both counts them as they run.
+    steps = calls = taus = 0
+
+    def maxplus(a, b):
+        nonlocal steps, calls
+        steps += len(a) * len(b)
+        calls += 1
+        return _maxplus(a, b)
+
+    def counted_tau(k, ell):
+        nonlocal taus
+        taus += 1
+        return tau(k, ell)
+
+    monkeypatch.setattr(lemmas_module, "_maxplus", maxplus)
+    monkeypatch.setattr(lemmas_module, "tau", counted_tau)
+    for box in DP_GRID + [(2, 40, 3, 1), (9, 3, 7, 1)]:
+        steps = calls = taus = 0
+        _num_min_slack(*box[:3])
+        assert _num_work(*box[:3]) == steps + 50 * calls + taus, box
+
+
+def test_num_largest_dp_within_the_default_budget_reports_in_under_2_s():
+    # Among the boxes whose lists fit and whose count fits the default
+    # budget, (2, 2581, 2, 1) has the largest DP work: the work cap lets it
+    # through, and its report takes about 0.7 s.
+    assert _num_work(2, 2581, 2) == 13_344_069 <= NUM_WORK_CAP
+    start = time.perf_counter()
+    report = check_lemma_num(2, 2581, 2, 1)
+    elapsed = time.perf_counter() - start
+    assert report == LemmaReport("num", dict(zip(NUM_FIELDS, (2, 2581, 2, 1))),
+                                 9_996_213, 0, [], (NUM_NOTE,))
+    assert elapsed < 2, elapsed
+
+
+def test_num_work_cap_refuses_no_box_within_the_default_budget():
+    # The count grows with max_q and max_ell, and the work with max_ell, so
+    # for each (max_m, max_K) under the list cap the largest max_ell whose
+    # q = 1 count fits the default budget has the largest work.
+    largest = pairs = 0
+    m = 2
+    while (m + 10) * (m + 1) <= NUM_TABLE_CAP:
+        ell = 1
+        while _num_count(m, 1, ell + 1, 1) <= DEFAULT_TUPLE_BUDGET:
+            ell += 1
+        K = 1
+        while (m + 10) * (m * K + 1) <= NUM_TABLE_CAP and ell >= 2:
+            while ell >= 2 and _num_count(m, K, ell, 1) > DEFAULT_TUPLE_BUDGET:
+                ell -= 1
+            if ell >= 2:
+                pairs += 1
+                largest = max(largest, _num_work(m, K, ell))
+            K += 1
+        m += 1
+    assert pairs == 3407
+    assert largest == _num_work(2, 2581, 2) <= NUM_WORK_CAP
+
+
+@pytest.mark.parametrize("box, budget, message", [
+    # walks of the whole default budget that took 8.1, 8.2 and 6.5 s
+    ((10**9, 1, 2, 1), DEFAULT_TUPLE_BUDGET,
+     "num DP lists of 1000000011000000010 entries exceed cap 100000"),
+    ((2, 10**6, 2, 1), DEFAULT_TUPLE_BUDGET,
+     "num DP lists of 24000012 entries exceed cap 100000"),
+    ((2, 1, 10**8, 1), DEFAULT_TUPLE_BUDGET,
+     "num DP work of 25799999793 steps exceeds cap 14000000"),
+    # the widest box past the list cap whose count fits the default
+    # budget: its walk took 13.7 s to print the report
+    ((4471, 1, 2, 1), DEFAULT_TUPLE_BUDGET,
+     "num DP lists of 20039032 entries exceed cap 100000"),
+    # a DP of about 2 minutes, and one of 1.3 s over 10^5 rows of tiny lists
+    ((3, 2563, 40, 1), 10**18,
+     "num DP work of 2057005056 steps exceeds cap 14000000"),
+    ((3, 1, 10**5, 1), DEFAULT_TUPLE_BUDGET,
+     "num DP work of 41399688 steps exceeds cap 14000000"),
+])
+def test_num_boxes_past_a_cap_are_refused_at_once(box, budget, message):
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError) as exc_info:
+        check_lemma_num(*box, budget=budget)
+    elapsed = time.perf_counter() - start
+    assert str(exc_info.value) == message
+    assert exc_info.value.partial_report is None
+    assert elapsed < 0.1, elapsed
 
 
 @pytest.mark.parametrize("box, budget, instances", [
