@@ -497,8 +497,12 @@ def test_closed_stdout_exits_141_without_a_traceback():
 
 
 @pytest.mark.parametrize("max_K, max_ell, refusal", [
-    (10**8, 3, "num DP lists of 5600000014 entries exceed cap 100000"),
-    (3, 10**8, "num DP work of 73899999438 steps exceeds cap 14000000"),
+    pytest.param(10**8, 3,
+                 "num DP lists of 5600000014 entries exceed cap 100000",
+                 id="100000000-3"),
+    pytest.param(3, 10**8,
+                 "num DP work of 73899999438 steps exceeds cap 14000000",
+                 id="3-100000000"),
 ])
 def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell,
                                                              refusal):

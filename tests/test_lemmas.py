@@ -642,6 +642,32 @@ def test_lemma_num_matches_reference_at_every_cut_of_a_four_pair_box(
         assert_num_matches_reference(box, budget)
 
 
+@pytest.mark.parametrize("cap, refused", [(0, 48), (5, 48), (40, 44)],
+                         ids=["0", "5", "40"])
+def test_lemma_num_matches_reference_past_table_cap(monkeypatch, cap, refused):
+    # A box of two pairs or more whose DP lists pass the cap is refused at
+    # every budget, with no partial report; every other box, single pairs
+    # included, matches the reference.
+    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", cap)
+    monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS["minus_one_from_K_7"])
+    boxes = 0
+    for box in GRID[::3]:
+        max_m, max_K = box[:2]
+        lists = (max_m + 10) * (max_m * max_K + 1)
+        if max_m == 1 or lists <= cap:
+            for budget in BUDGETS:
+                assert_num_matches_reference(box, budget)
+            continue
+        boxes += 1
+        for budget in BUDGETS:
+            with pytest.raises(ResourceBudgetError) as exc_info:
+                check_lemma_num(*box, budget=budget)
+            assert str(exc_info.value) == (
+                f"num DP lists of {lists} entries exceed cap {cap}")
+            assert exc_info.value.partial_report is None
+    assert boxes == refused
+
+
 def test_lemma_num_huge_max_K_is_refused_before_any_work():
     # 30,001 head pairs and K_i up to 30,001 fit the budget, but the DP's
     # lists would hold (4 + 10) * (4 * 10^8 + 1) entries: the box is
@@ -706,6 +732,53 @@ def test_lemma_num_long_tails_are_refused_at_once():
         f"num DP lists of 400220010 entries exceed cap {NUM_TABLE_CAP}")
     assert exc_info.value.partial_report is None
     assert elapsed < 0.1, elapsed
+
+
+def minus_square_times_l(K, l):
+    """A tau under which every num instance fails but a lone pair's: the
+    q = 1 slack sum K_i^2 l_i - (HK + TS)^2 L - T is below 0 as soon as
+    the head has two pairs or the tail a part.  So the counterexamples list
+    the walk's instances in the order walked."""
+    return -K * K * l
+
+
+@pytest.mark.parametrize("max_K, max_ell", [(1, 2), (1, 4), (2, 3), (3, 2),
+                                            (2, 4)])
+def test_heads_walk_combinations_with_replacement(monkeypatch, max_K, max_ell):
+    # The walk takes the heads of m pairs in combinations_with_replacement
+    # order of the pairs (K, l), K outer, for m = 1 to max_m; each head has
+    # a failing instance, and its instances come together.
+    monkeypatch.setattr(lemmas_module, "tau", minus_square_times_l)
+    pairs = [(K, l) for K in range(1, max_K + 1) for l in range(2, max_ell + 1)]
+    report = check_lemma_num(5, max_K, max_ell, 1)
+    walked = [head for head, _ in itertools.groupby(
+        c["head"] for c in report.counterexamples)]
+    assert walked == [[list(p) for p in head] for m in range(1, 6)
+                      for head in itertools.combinations_with_replacement(
+                          pairs, m)]
+    for c in report.counterexamples:
+        if not c["tail"]:  # rhs tau(HK, L); lhs the sum of the pairs' tau
+            assert (c["lhs"], c["rhs"]) == (
+                sum(minus_square_times_l(K, l) for K, l in c["head"]),
+                minus_square_times_l(sum(K for K, _ in c["head"]),
+                                     max(l for _, l in c["head"]))), c
+
+
+@pytest.mark.parametrize("max_K", range(1, 6))
+def test_tails_walk_combinations_with_replacement(monkeypatch, max_K):
+    # The first head, (1, 2), takes the tails of n = 1 to 6 parts in
+    # combinations_with_replacement order of 1..max_K; its lone-pair
+    # instance holds, and each of its tails fails.
+    monkeypatch.setattr(lemmas_module, "tau", minus_square_times_l)
+    report = check_lemma_num(7, max_K, 2, 1)
+    first = list(itertools.takewhile(lambda c: c["head"] == [[1, 2]],
+                                     report.counterexamples))
+    assert [(c["tail"], c["lhs"], c["rhs"]) for c in first] == [
+        (list(tail), -2 + sum(Ki // 2 for Ki in tail),
+         minus_square_times_l(1 + sum(tail), 2))
+        for n in range(1, 7)
+        for tail in itertools.combinations_with_replacement(
+            range(1, max_K + 1), n)]
 
 
 @given(head=st.integers(min_value=-50, max_value=50),
