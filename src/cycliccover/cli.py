@@ -48,6 +48,11 @@ CONFIG_SCHEMA_VERSION = 1
 # text: 10^5 cells take 0.15-0.22 s (0.6-0.76 s as records) and 37 MB peak RSS
 # at d = 2 (one wide row), 0.06-0.09 s at d = 316 (2-vCPU VM, Python 3.11).
 SIGMA_TABLE_CELL_CAP = 10**5
+TRUNCATION_CAP = 12
+# local-model refuses more case-2 trials than this before any output: a
+# trial at d = 10 takes about 0.9 ms and prints about 135 bytes, so the cap
+# is about 9 s and 1.4 MB (2-vCPU VM, Python 3.11).
+TRIAL_CAP = 10**4
 
 
 class ConfigError(ValueError):
@@ -309,14 +314,12 @@ def _cmd_local_model(args) -> int:
             f"--trials {args.trials} needs --d >= 2: a case-2 trial draws "
             f"its degree from 2..d")
     # The ramified check below works mod m^(d + 2); refuse before the sweep.
-    cap = _pkg.localmodel.TRUNCATION_CAP
-    if args.d + 2 > cap:
+    if args.d + 2 > TRUNCATION_CAP:
         raise ResourceBudgetError(
-            f"truncation bound {args.d + 2} exceeds cap {cap}")
-    cap = _pkg.localmodel.TRIAL_CAP
-    if args.trials > cap:
+            f"truncation bound {args.d + 2} exceeds cap {TRUNCATION_CAP}")
+    if args.trials > TRIAL_CAP:
         raise ResourceBudgetError(
-            f"{args.trials} case-2 trials exceed cap {cap}")
+            f"{args.trials} case-2 trials exceed cap {TRIAL_CAP}")
     rng = random.Random(args.seed)
     encode = _codec()[0]
     any_failure = False

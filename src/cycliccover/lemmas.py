@@ -15,8 +15,8 @@ its colength), and intersected as a bit mask of its cells, so a union is an
 or and its colength a bit count.  The checked quantity depends on slots
 2..l only through their union, so a DP over the distinct unions that lie
 inside no other finds the least slack without listing tuples; tuples are
-listed only where one fails.  This is desk-scale evidence, not a proof for
-general local rings; reports say so.
+listed only in a box where one fails.  This is desk-scale evidence, not a
+proof for general local rings; reports say so.
 
 The "num" lemma is a pure integer inequality.  We verify its reduced form
 
@@ -159,9 +159,10 @@ def check_lemma_alg(
         checked partitions (_alg_largest), found without listing tuples.
         It assumes nothing about tau, so it does not rest on the proof in
         the module docstring;
-      * tuples are listed (_alg_failures) only in a checked partition
-        whose largest union exceeds tau(k, ell), which holds every
-        counterexample, so none are listed for the program's own tau.
+      * tuples are listed (_alg_failures) only when that largest union
+        exceeds tau(k, ell), and then in every checked partition, each
+        keeping its failing tuples, so none are listed for the program's
+        own tau.
 
     A box whose largest colength, k - ell + 1, reaches DEFAULT_COLENGTH_CAP
     raises before any of this.
@@ -198,8 +199,7 @@ def check_lemma_alg(
     counterexamples: list[dict] = []
     if largest > bound:
         for excess in counted:
-            if _largest_union(excess[1:], states) > bound:
-                counterexamples += _alg_failures(excess, ell, bound, states)
+            counterexamples += _alg_failures(excess, ell, bound, states)
     min_slack = bound - largest if counted else None
     box = {"k": k, "ell": ell}
     if cut is not None:
@@ -340,8 +340,8 @@ def check_lemma_num(
     and past it the search is cut after budget instances, at slack 0 (its
     first instance, pair (1, 2) with no tail, is a pair against its own
     tau), or None at budget 0.  Only a negative least slack, which the
-    program's own tau never gives, runs the walk (_num_walk), which lists
-    the counterexamples in order and cuts at the budget.
+    program's own tau never gives, runs the plain search (_num_walk), which
+    lists the counterexamples in order and cuts at the budget.
     """
     for name, v in (("max_m", max_m), ("max_K", max_K),
                     ("max_ell", max_ell), ("max_q", max_q)):
@@ -385,17 +385,14 @@ def check_lemma_num(
 def _num_walk(max_m: int, max_K: int, max_ell: int, max_q: int, budget: int,
               box: dict) -> tuple[int, int | None, list[dict]]:
     """(instances checked, minimum slack, counterexamples) of a num box, by
-    visiting every (head, tail) in the instance-by-instance search's order;
-    a budget cut raises with the partial report.  check_lemma_num runs it
-    only where the DP has found a negative least slack, on a box that fits
-    both caps.
-
-    Each (head, tail) is decided by its q = 1 slack and all its instances
-    are counted in one step; q is walked one by one only where that slack
-    is negative (to list every failing q) or the step would cross the
-    budget.  The first head's tails cost an instance each, and so does each
-    one-pair head, so the cut comes before head pair budget + 1 or tail
-    part budget + 1: neither pool holds more than budget + 1 items.
+    the instance-by-instance search: every (head, tail, q) in order, with
+    one budget check per instance, so a cut raises with the partial report
+    before instance budget + 1, after one step per instance.
+    check_lemma_num runs it only where the DP has found a negative least
+    slack, on a box that fits both caps.  The first head's tails cost an
+    instance each, and so does each one-pair head, so the cut comes before
+    head pair budget + 1 or tail part budget + 1: neither pool holds more
+    than budget + 1 items.
     """
     pairs = tuple(itertools.islice(
         ((K, l) for K in range(1, max_K + 1) for l in range(2, max_ell + 1)),
@@ -410,31 +407,15 @@ def _num_walk(max_m: int, max_K: int, max_ell: int, max_q: int, budget: int,
             ell = max(l for _, l in head)
             head_sum = sum(tau(K, l) for K, l in head)
             for n in range(max_m - m + 1):
-                steps = max_q if n else 1
                 for tail in itertools.combinations_with_replacement(parts, n):
                     rhs = tau(head_K + sum(tail), ell)
-                    slack = rhs - head_sum - sum(Ki // 2 for Ki in tail)
-                    if slack >= 0 and checked + steps <= budget:
-                        checked += steps
-                        if min_slack is None or slack < min_slack:
-                            min_slack = slack
-                        continue
-                    if slack >= 0:  # the budget ends inside these q
-                        # the slack only grows with q: q = 1 holds the
-                        # least, if it fits, and no q is a counterexample
-                        if checked < budget and (min_slack is None
-                                                 or slack < min_slack):
-                            min_slack = slack
-                        raise _cut(f"instance budget {budget} exceeded",
-                                   "num", box, budget, min_slack,
-                                   counterexamples)
-                    for q in range(1, steps + 1):
-                        lhs = head_sum + sum(Ki // (q + 1) for Ki in tail)
-                        checked += 1
-                        if checked > budget:
+                    for q in range(1, (max_q if n else 1) + 1):
+                        if checked == budget:
                             raise _cut(f"instance budget {budget} exceeded",
-                                       "num", box, checked - 1, min_slack,
+                                       "num", box, budget, min_slack,
                                        counterexamples)
+                        checked += 1
+                        lhs = head_sum + sum(Ki // (q + 1) for Ki in tail)
                         if min_slack is None or rhs - lhs < min_slack:
                             min_slack = rhs - lhs
                         if lhs > rhs:

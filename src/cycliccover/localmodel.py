@@ -30,14 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclotomic import CyclotomicNumber, power_sum
-from .errors import ResourceBudgetError, SingularSystemError
+from .errors import SingularSystemError
 from .series import TruncatedSeries, collect_terms
-
-TRUNCATION_CAP = 12
-# local-model refuses more case-2 trials than this before any output: a
-# trial at d = 10 takes about 0.9 ms and prints about 135 bytes, so the cap
-# is about 9 s and 1.4 MB (2-vCPU VM, Python 3.11).
-TRIAL_CAP = 10**4
 
 
 class SectionDecomposition(namedtuple("SectionDecomposition", "d components")):
@@ -221,9 +215,6 @@ def case2_construct(d: int, betas: Sequence[int],
     if any(o < 1 for o in orders):
         raise ValueError(f"orders must be >= 1, got {orders}")
     bound = max(orders)
-    if bound > TRUNCATION_CAP:
-        raise ResourceBudgetError(
-            f"truncation bound {bound} exceeds cap {TRUNCATION_CAP}")
     nodes = [b % d for b in betas]
     _check_fiber(d, nodes)
     vars0 = jets[0].variables
@@ -332,9 +323,6 @@ def case3_construct(d: int, jet: TruncatedSeries, order: int) -> RamifiedConstru
         raise ValueError(f"degree must be >= 1, got {d}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if order > TRUNCATION_CAP:
-        raise ResourceBudgetError(
-            f"truncation bound {order} exceeds cap {TRUNCATION_CAP}")
     if jet.total_degree() >= order:
         raise ValueError(
             f"jet of degree {jet.total_degree()} is not a jet mod m^{order}")

@@ -329,7 +329,7 @@ def test_local_model_refuses_over_cap_before_sweep(capsys):
 
 
 def test_local_model_refuses_trials_over_cap_before_output(capsys):
-    cap = cycliccover.localmodel.TRIAL_CAP
+    cap = cli.TRIAL_CAP
     for trials in (cap + 1, 10**9):
         code, out, err = run(capsys, "local-model", "--d", "4",
                              "--trials", str(trials))
@@ -339,7 +339,7 @@ def test_local_model_refuses_trials_over_cap_before_output(capsys):
 
 
 def test_local_model_runs_trials_at_cap(capsys):
-    cap = cycliccover.localmodel.TRIAL_CAP
+    cap = cli.TRIAL_CAP
     code, out, err = run(capsys, "local-model", "--d", "2",
                          "--trials", str(cap))
     lines = out.splitlines()

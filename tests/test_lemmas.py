@@ -642,6 +642,20 @@ def test_lemma_num_matches_reference_at_every_cut_of_a_four_pair_box(
         assert_num_matches_reference(box, budget)
 
 
+def test_lemma_num_cut_inside_a_huge_q_range_matches_reference(monkeypatch):
+    # A failing tau whose cut lands inside the q range of one (head, tail):
+    # the search checks the budget once per instance, so the cut costs
+    # budget steps, whatever max_q is.
+    monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS["minus_one_from_K_7"])
+    box, budget = (2, 9, 4, 10**9), 10**5
+    start = time.perf_counter()
+    got = num_outcome(check_lemma_num, box, budget)
+    elapsed = time.perf_counter() - start
+    assert got == num_outcome(reference_lemma_num, box, budget)
+    assert not got[0] and got[2]["instances_checked"] == budget
+    assert elapsed < 1.0, elapsed
+
+
 @pytest.mark.parametrize("cap, refused", [(0, 48), (5, 48), (40, 44)],
                          ids=["0", "5", "40"])
 def test_lemma_num_matches_reference_past_table_cap(monkeypatch, cap, refused):

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from cycliccover.cyclotomic import power_sum
 from cycliccover.engine import (
     CoveringScenario, PositivityProfile, max_guaranteed_jet_order)
-from cycliccover.errors import ResourceBudgetError, SingularSystemError
+from cycliccover.cli import TRUNCATION_CAP
+from cycliccover.errors import SingularSystemError
 from cycliccover.localmodel import (
-    TRUNCATION_CAP,
     SectionDecomposition,
     _lagrange,
     _over_one_minus,
@@ -261,8 +261,6 @@ def test_case2_validation():
         case2_construct(3, [0], [jet], [0])
     with pytest.raises(SingularSystemError):
         case2_construct(3, [0, 3], [jet, jet], [2, 2])
-    with pytest.raises(ResourceBudgetError):
-        case2_construct(2, [0], [jet], [13])
 
 
 def test_case2_rejects_jets_in_other_variables():
@@ -516,8 +514,24 @@ def test_case3_validation():
     jet = rational_series(4, {(3, 0): 1})
     with pytest.raises(ValueError):
         case3_construct(2, jet, 3)  # degree-3 term is no jet mod m^3
-    with pytest.raises(ResourceBudgetError):
-        case3_construct(2, rational_series(2, {(0, 0): 1}), 13)
+
+
+def test_constructions_take_orders_past_the_cli_cap():
+    # The CLI's truncation cap bounds what local-model prints; the
+    # constructions themselves take any order.  Order 13 is one past it.
+    order = TRUNCATION_CAP + 1
+    full = {(a, b): 1 for a in range(order) for b in range(order - a)}
+    built = case3_construct(3, rational_series(order, full), order)
+    assert built.reassembled() == built.jet
+    rng = random.Random(13)
+    jets = [rational_series(order, {e: rng.randint(-5, 5) for e in full})
+            for _ in range(3)]
+    orders = [order, 2, order]
+    betas = [0, 2, 3]
+    section = case2_construct(5, betas, jets, orders)
+    for beta, jet, o in zip(betas, jets, orders):
+        assert evaluate_at_orbit_point(section, beta).truncate(o) \
+            == jet.truncate(o)
 
 
 def test_case3_obstructions_certify_engine_jet_order():
