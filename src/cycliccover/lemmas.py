@@ -63,15 +63,14 @@ from .errors import ResourceBudgetError
 DEFAULT_COLENGTH_CAP = 12
 DEFAULT_TUPLE_BUDGET = 10**7
 # check_lemma_num refuses, before any work, a num box of max_m >= 2 whose
-# DP would hold more than NUM_TABLE_CAP list entries in all (max_m tail
-# lists and fewer than 10 working lists of max_m * max_K + 1 sums each), or
-# do more than NUM_WORK_CAP steps (_num_work).  So every num call costs a
-# closed form, one DP of bounded memory and time, or an immediate refusal,
-# whatever the box and the budget.  The largest work among the boxes under
-# the list cap whose instance count fits DEFAULT_TUPLE_BUDGET is that of
-# (2, 2581, 2, 1), 13,344,069 steps, and a DP at the work cap takes about
-# 1-2 s (Python 3.11, 2-vCPU VM).
-NUM_TABLE_CAP = 10**5
+# DP would do more than NUM_WORK_CAP steps (_num_work, O(1) in the box).
+# The DP keeps fewer than 10 lists of at most max_m * max_K + 1 sums, and
+# the cap admits no box past max_m * max_K = 5,286, so it bounds the DP's
+# memory as well as its time: every num call costs a closed form, one DP
+# of bounded memory and time, or an immediate refusal, whatever the box and
+# the budget.  The largest work among the boxes whose instance count fits
+# DEFAULT_TUPLE_BUDGET is that of (2, 2581, 2, 1), 13,341,438 steps, and a
+# DP at the work cap takes about 0.4-1.1 s (Python 3.11, 2-vCPU VM).
 NUM_WORK_CAP = 14 * 10**6
 
 
@@ -327,9 +326,8 @@ def check_lemma_num(
 
       * a box of single pairs (max_m = 1) needs no search: each instance
         is a pair against its own tau, at slack 0 whatever tau is;
-      * a box whose DP lists pass NUM_TABLE_CAP, or whose DP work
-        (_num_work) passes NUM_WORK_CAP, is refused before any work, with
-        no partial report;
+      * a box whose DP work (_num_work) passes NUM_WORK_CAP is refused
+        before any work, with no partial report;
       * any other box runs the DP (_num_min_slack), which computes the
         least q = 1 slack of the program's own tau over every (head, tail)
         without listing them.  It assumes nothing about tau, so it does
@@ -354,11 +352,7 @@ def check_lemma_num(
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
     least = 0
-    if max_m > 1:  # the lists first: _num_work and _num_count loop over m
-        lists = (max_m + 10) * (max_m * max_K + 1)
-        if lists > NUM_TABLE_CAP:
-            raise ResourceBudgetError(
-                f"num DP lists of {lists} entries exceed cap {NUM_TABLE_CAP}")
+    if max_m > 1:  # the work first: _num_count loops over m
         work = _num_work(max_m, max_K, max_ell)
         if work > NUM_WORK_CAP:
             raise ResourceBudgetError(
@@ -449,22 +443,21 @@ def _num_work(max_m: int, max_K: int, max_ell: int) -> int:
     10^5) has 1.4 M steps and tau calls and 0.8 M calls, and takes about
     1.3 s, where a step of a long product takes about 50 ns.
 
-    Sums of n parts from 1..max_K take n * (max_K - 1) + 1 values, and
-    adding a part to them is a product with the max_K values of one part.
-    Such steps grow the tails from 0 to max_m - 1 parts once and, for each
-    L, below from 0 to max_m - 1 pairs, and turn each below of m - 1 pairs
-    into the heads of m pairs.  Those heads then meet tail_best of
-    max_m - m parts, (max_m - m) * max_K + 1 values, and each L computes
-    one tau row of max_m * max_K values.
+    Each L computes one tau row of max_m * max_K values and makes 3 max_m
+    - 1 products.  Sums of j pairs take j * (max_K - 1) + 1 values, and
+    adding a pair is a product with the max_K values of one pair: for m =
+    1..max_m the below of m - 1 pairs becomes the heads of m pairs, and,
+    but for m = max_m, the below of m pairs.  The heads, (max_K - 1) m + 1
+    values, then meet the tails of (max_m - m) max_K + 1 values.  The sums
+    over m are polynomials in max_m, so the count costs O(1) whatever
+    max_m is.
     """
-    grow = 0  # the steps from 0 to max_m - 1 parts
-    per_L = max_m * max_K  # the tau row
-    for m in range(1, max_m + 1):
-        below = (m - 1) * (max_K - 1) + 1
-        step = below * max_K + 50
-        grow += step if m < max_m else 0
-        per_L += step + (below + max_K - 1) * ((max_m - m) * max_K + 1) + 50
-    return grow + (max_ell - 1) * (per_L + grow)
+    M, K = max_m, max_K
+    s1, s2 = M * (M + 1) // 2, M * (M + 1) * (2 * M + 1) // 6
+    below = (K - 1) * (s1 - M) + M  # the below lengths summed over m
+    by_pair = K * (2 * below - (K - 1) * (M - 1) - 1)  # but the last below
+    pair_off = (K - 1) * K * (M * s1 - s2) + (K - 1) * s1 + K * (M * M - s1) + M
+    return (max_ell - 1) * (M * K + 50 * (3 * M - 1) + by_pair + pair_off)
 
 
 def _num_min_slack(max_m: int, max_K: int, max_ell: int) -> int:
@@ -474,22 +467,17 @@ def _num_min_slack(max_m: int, max_K: int, max_ell: int) -> int:
     A head of m pairs enters the slack only through its K sum HK, its
     largest l, L, and its tau sum H, and a tail of n parts only through its
     sum TS and its T = sum floor(K_j / 2).  So only the largest H per
-    (m, L, HK) matters, and the largest T per TS over tails of at most
-    max_m - m parts.  Both are max-plus knapsacks over dense lists indexed
-    by the sum, and one more max-plus product per (m, L) pairs them off.
+    (m, L, HK) matters, a max-plus knapsack over dense lists indexed by the
+    sum, and the largest T per TS over tails of at most N = max_m - m
+    parts, which is min(TS // 2, N * (max_K // 2)) in closed form: T is
+    (TS - the number of odd parts) / 2, no part adds more than max_K // 2,
+    and some tail reaches the smaller bound.  As a list by TS it is a slice
+    of the floors x // 2 up to N * (max_K - max_K % 2), then that
+    bound repeated.  One more max-plus product per (m, L) pairs them off.
     Nothing about tau is assumed: every value comes from tau itself.
     """
-    halves = [K // 2 for K in range(1, max_K + 1)]
-    # tail_best[N][TS]: the largest T over tails of at most N parts.  Tails
-    # of exactly n parts reach the sums n..n * max_K; T >= 0 fills the rest.
-    tail_best = [[0]]
-    exactly = [0]
-    for n in range(1, max_m):
-        exactly = _maxplus(exactly, halves)
-        below = tail_best[-1]
-        tail_best.append(below[:n] + [
-            max(x, y) for x, y in itertools.zip_longest(
-                below[n:], exactly, fillvalue=0)])
+    odd = max_K % 2
+    floors = [x // 2 for x in range((max_m - 1) * (max_K - odd) + 1)]
     least = None
     for L in range(2, max_ell + 1):
         rhs = [tau(K, L) for K in range(1, max_m * max_K + 1)]
@@ -499,7 +487,10 @@ def _num_min_slack(max_m: int, max_K: int, max_ell: int) -> int:
         below = [0]  # the largest H of m - 1 pairs with l <= L, by HK - m + 1
         for m in range(1, max_m + 1):
             heads = _maxplus(below, with_L)  # one pair has l = L; HK >= m
-            sums = _maxplus(heads, tail_best[max_m - m])
+            N = max_m - m
+            tails = (floors[:N * (max_K - odd) + 1]
+                     + [N * (max_K // 2)] * (N * odd))
+            sums = _maxplus(heads, tails)
             slack = min(r - s for r, s in zip(rhs[m - 1:], sums))
             if least is None or slack < least:
                 least = slack

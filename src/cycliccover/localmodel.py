@@ -326,7 +326,7 @@ def case3_construct(d: int, jet: TruncatedSeries, order: int) -> RamifiedConstru
     if jet.total_degree() >= order:
         raise ValueError(
             f"jet of degree {jet.total_degree()} is not a jet mod m^{order}")
-    normalized = jet.truncate(min(jet.bound, order)).with_bound(order)
+    normalized = jet.truncate(order)
     components = decompose_jet_ramified(normalized, d)
     return RamifiedConstruction(d=d, order=order, jet=normalized,
                                 components=tuple(components))

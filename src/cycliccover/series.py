@@ -6,8 +6,8 @@ total degree strictly below the bound K are kept.  Coefficients are exact
 term maps.  The series carries no ring arithmetic: the local model builds
 each coefficient itself and hands the terms to collect_terms, which keeps
 those below the bound with a nonzero coefficient.  Terms are validated
-once, where a series is built from outside; collect_terms, truncate and
-with_bound build valid series and skip the checks.
+once, where a series is built from outside; collect_terms and truncate
+build valid series and skip the checks.
 """
 
 from __future__ import annotations
@@ -76,15 +76,10 @@ class TruncatedSeries:
     # -- truncation ----------------------------------------------------------
 
     def truncate(self, bound: int) -> "TruncatedSeries":
-        """Image in O/m^bound (drop terms of total degree >= bound)."""
+        """Image in O/m^bound (drop terms of total degree >= bound); at a
+        larger bound, the lift with the same terms."""
         return _make(self.variables, bound,
                      {e: c for e, c in self.terms.items() if sum(e) < bound})
-
-    def with_bound(self, bound: int) -> "TruncatedSeries":
-        """Reinterpret at a larger bound (a lift: same terms)."""
-        if bound < self.bound:
-            raise ValueError("use truncate() to lower the bound")
-        return _make(self.variables, bound, dict(self.terms))
 
     # -- comparison / display --------------------------------------------------
 

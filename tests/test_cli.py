@@ -498,10 +498,10 @@ def test_closed_stdout_exits_141_without_a_traceback():
 
 @pytest.mark.parametrize("max_K, max_ell, refusal", [
     pytest.param(10**8, 3,
-                 "num DP lists of 5600000014 entries exceed cap 100000",
+                 "num DP work of 380000001600001088 steps exceeds cap 14000000",
                  id="100000000-3"),
     pytest.param(3, 10**8,
-                 "num DP work of 73899999438 steps exceeds cap 14000000",
+                 "num DP work of 73899999261 steps exceeds cap 14000000",
                  id="3-100000000"),
 ])
 def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell,
@@ -515,7 +515,7 @@ def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell,
 
 
 def test_verify_lemma_num_huge_box_at_large_budget_is_bounded():
-    # 3,000,001 head pairs fit the budget, but the DP's lists would not fit
+    # 3,000,001 head pairs fit the budget, but the DP's work would not fit
     # the cap: the box is refused before any work, where walking it to the
     # cut took most of 2 s.
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -524,8 +524,8 @@ def test_verify_lemma_num_huge_box_at_large_budget_is_bounded():
         "--budget", "3000000")
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        3, "", "budget exhausted: num DP lists of 5600000014 entries exceed "
-               "cap 100000\n")
+        3, "", "budget exhausted: num DP work of 380000001600001088 steps "
+               "exceeds cap 14000000\n")
     cpu_s = (after.ru_utime - before.ru_utime
              + after.ru_stime - before.ru_stime)
     assert cpu_s < 2, cpu_s

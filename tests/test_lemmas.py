@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import time
 import tracemalloc
@@ -14,7 +15,6 @@ from cycliccover.combinatorics import tau
 from cycliccover.errors import ResourceBudgetError
 from cycliccover.lemmas import (
     DEFAULT_TUPLE_BUDGET,
-    NUM_TABLE_CAP,
     NUM_WORK_CAP,
     LemmaReport,
     _alg_largest,
@@ -656,19 +656,18 @@ def test_lemma_num_cut_inside_a_huge_q_range_matches_reference(monkeypatch):
     assert elapsed < 1.0, elapsed
 
 
-@pytest.mark.parametrize("cap, refused", [(0, 48), (5, 48), (40, 44)],
-                         ids=["0", "5", "40"])
-def test_lemma_num_matches_reference_past_table_cap(monkeypatch, cap, refused):
-    # A box of two pairs or more whose DP lists pass the cap is refused at
+@pytest.mark.parametrize("cap, refused", [(0, 48), (700, 32), (1500, 9)],
+                         ids=["0", "700", "1500"])
+def test_lemma_num_matches_reference_past_work_cap(monkeypatch, cap, refused):
+    # A box of two pairs or more whose DP work passes the cap is refused at
     # every budget, with no partial report; every other box, single pairs
     # included, matches the reference.
-    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", cap)
+    monkeypatch.setattr(lemmas_module, "NUM_WORK_CAP", cap)
     monkeypatch.setattr(lemmas_module, "tau", BENT_TAUS["minus_one_from_K_7"])
     boxes = 0
     for box in GRID[::3]:
-        max_m, max_K = box[:2]
-        lists = (max_m + 10) * (max_m * max_K + 1)
-        if max_m == 1 or lists <= cap:
+        work = _num_work(*box[:3])
+        if box[0] == 1 or work <= cap:
             for budget in BUDGETS:
                 assert_num_matches_reference(box, budget)
             continue
@@ -677,16 +676,16 @@ def test_lemma_num_matches_reference_past_table_cap(monkeypatch, cap, refused):
             with pytest.raises(ResourceBudgetError) as exc_info:
                 check_lemma_num(*box, budget=budget)
             assert str(exc_info.value) == (
-                f"num DP lists of {lists} entries exceed cap {cap}")
+                f"num DP work of {work} steps exceeds cap {cap}")
             assert exc_info.value.partial_report is None
     assert boxes == refused
 
 
 def test_lemma_num_huge_max_K_is_refused_before_any_work():
     # 30,001 head pairs and K_i up to 30,001 fit the budget, but the DP's
-    # lists would hold (4 + 10) * (4 * 10^8 + 1) entries: the box is
-    # refused before any list is built, with no partial report.  Walking
-    # it to the cut once built 6 MB of tables.
+    # work would pass its cap by 10^10 times: the box is refused before
+    # any list is built, with no partial report.  Walking it to the cut
+    # once built 6 MB of tables.
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError) as exc_info:
@@ -695,14 +694,14 @@ def test_lemma_num_huge_max_K_is_refused_before_any_work():
     finally:
         tracemalloc.stop()
     assert str(exc_info.value) == (
-        f"num DP lists of 5600000014 entries exceed cap {NUM_TABLE_CAP}")
+        "num DP work of 380000001600001088 steps exceeds cap 14000000")
     assert exc_info.value.partial_report is None
     assert peak < 2**20, peak
 
 
 def test_lemma_num_head_pairs_stay_under_the_cap():
     # 20,000 head pairs, two instances each at m = 1, use the whole budget.
-    # The DP's lists fit, and so does its work, so it finds the least
+    # The DP's work fits its cap, so it finds the least
     # slack 0 over every (head, tail) and makes the cut at 40,000 in
     # closed form, listing no pair.  Listing every pair took 3.1 MB.
     tracemalloc.start()
@@ -717,9 +716,10 @@ def test_lemma_num_head_pairs_stay_under_the_cap():
 
 
 def test_lemma_num_huge_max_m_is_refused_before_any_work():
-    # 10^8 tail lengths: the DP's lists would hold about 10^16 entries, so
-    # the box is refused at once, where a walk per tail length once took
-    # over 100 MB and a tau row up to max_m 4.8 MB.
+    # 10^8 tail lengths: the DP's work, counted in closed form, would be
+    # about 5 * 10^15 steps, so the box is refused at once, where a walk
+    # per tail length once took over 100 MB and a tau row up to max_m
+    # 4.8 MB.
     tracemalloc.start()
     try:
         with pytest.raises(ResourceBudgetError) as exc_info:
@@ -727,23 +727,22 @@ def test_lemma_num_huge_max_m_is_refused_before_any_work():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    lists = (10**8 + 10) * (10**8 + 1)
     assert str(exc_info.value) == (
-        f"num DP lists of {lists} entries exceed cap {NUM_TABLE_CAP}")
+        "num DP work of 5000015349999949 steps exceeds cap 14000000")
     assert exc_info.value.partial_report is None
     assert peak < 2**20, peak
 
 
 def test_lemma_num_long_tails_are_refused_at_once():
     # 20,000 tail lengths of ones: summing each tail, as the walk once did,
-    # took 22 s to reach the cut; the DP's lists would hold 400,220,010
-    # entries, so the box is refused before any work.
+    # took 22 s to reach the cut; the DP's work would be 406,139,898
+    # steps, so the box is refused before any work.
     start = time.perf_counter()
     with pytest.raises(ResourceBudgetError) as exc_info:
         check_lemma_num(20000, 1, 3, 2, budget=100000)
     elapsed = time.perf_counter() - start
     assert str(exc_info.value) == (
-        f"num DP lists of 400220010 entries exceed cap {NUM_TABLE_CAP}")
+        "num DP work of 406139898 steps exceeds cap 14000000")
     assert exc_info.value.partial_report is None
     assert elapsed < 0.1, elapsed
 
@@ -854,7 +853,7 @@ def test_num_count_equals_the_walk_on_every_grid_box():
 
 def test_num_dp_decides_every_box_whose_lists_fit(monkeypatch):
     # With the program's tau and the default budget, the DP decides every
-    # box whose count and lists fit, small max_ell included, where a walk
+    # box whose count and work fit, small max_ell included, where a walk
     # step costs least: the walk is never called.
     def refuse(*args):
         raise AssertionError("the walk ran")
@@ -868,7 +867,7 @@ def test_num_dp_decides_every_box_whose_lists_fit(monkeypatch):
     assert len(boxes) == 129
 
 
-def test_num_small_caps_refuse(monkeypatch):
+def test_num_small_work_cap_refuses(monkeypatch):
     box = (4, 5, 4, 2)
     ran = []  # the DP's answers inside check_lemma_num
 
@@ -887,24 +886,18 @@ def test_num_small_caps_refuse(monkeypatch):
         raise AssertionError("the DP ran")
 
     monkeypatch.setattr(lemmas_module, "_num_min_slack", refuse)
-    # lists of (4 + 10) * (4 * 5 + 1) = 294 entries, or the work, one over
-    # its cap: either refuses before the DP, at any budget
+    # the work one over its cap refuses before the DP, at any budget
     work = _num_work(*box[:3])
-    for name, cap, message in (
-            ("NUM_TABLE_CAP", 293, "num DP lists of 294 entries exceed cap 293"),
-            ("NUM_WORK_CAP", work - 1,
-             f"num DP work of {work} steps exceeds cap {work - 1}")):
-        with monkeypatch.context() as patch:
-            patch.setattr(lemmas_module, name, cap)
-            for budget in (0, expected.instances_checked):
-                with pytest.raises(ResourceBudgetError) as exc_info:
-                    check_lemma_num(*box, budget=budget)
-                assert str(exc_info.value) == message
-                assert exc_info.value.partial_report is None
-    # both at their cap: the DP runs
+    monkeypatch.setattr(lemmas_module, "NUM_WORK_CAP", work - 1)
+    for budget in (0, expected.instances_checked):
+        with pytest.raises(ResourceBudgetError) as exc_info:
+            check_lemma_num(*box, budget=budget)
+        assert str(exc_info.value) == (
+            f"num DP work of {work} steps exceeds cap {work - 1}")
+        assert exc_info.value.partial_report is None
+    # the work at its cap: the DP runs
     monkeypatch.setattr(lemmas_module, "_num_min_slack", spy)
     monkeypatch.setattr(lemmas_module, "NUM_WORK_CAP", work)
-    monkeypatch.setattr(lemmas_module, "NUM_TABLE_CAP", 294)
     assert check_lemma_num(*box) == expected
 
 
@@ -945,17 +938,76 @@ def test_num_work_equals_an_instrumented_count(monkeypatch):
 
     monkeypatch.setattr(lemmas_module, "_maxplus", maxplus)
     monkeypatch.setattr(lemmas_module, "tau", counted_tau)
-    for box in DP_GRID + [(2, 40, 3, 1), (9, 3, 7, 1)]:
+    boxes = list(itertools.product(range(1, 9), range(1, 12), range(2, 7)))
+    for box in boxes + [(2, 40, 3), (9, 3, 7), (40, 1, 2)]:
         steps = calls = taus = 0
-        _num_min_slack(*box[:3])
-        assert _num_work(*box[:3]) == steps + 50 * calls + taus, box
+        _num_min_slack(*box)
+        assert _num_work(*box) == steps + 50 * calls + taus, box
+    # the count is a polynomial in max_m, evaluated at once
+    start = time.perf_counter()
+    assert _num_work(10**9, 1, 2) == 500_000_153_499_999_949
+    assert time.perf_counter() - start < 0.01
+
+
+def test_num_tails_are_the_best_tail_multisets(monkeypatch):
+    # The tails list the DP pairs with the heads of m pairs holds, by sum
+    # TS, the largest sum of floor(K_j / 2) over tails of at most
+    # N = max_m - m parts from 1..max_K; an enumeration of the tail
+    # multisets gives it independently.  The products of one L come three
+    # per m (below by one pair, heads by tails, below by the best pair),
+    # the last m without the third.
+    def best(N, max_K):
+        top = [0] * (N * max_K + 1)
+        for n in range(1, N + 1):
+            for tail in itertools.combinations_with_replacement(
+                    range(1, max_K + 1), n):
+                TS, T = sum(tail), sum(K // 2 for K in tail)
+                top[TS] = max(top[TS], T)
+        return top
+
+    products = []
+
+    def spy(a, b):
+        products.append(b)
+        return _maxplus(a, b)
+
+    monkeypatch.setattr(lemmas_module, "_maxplus", spy)
+    checked = 0
+    for max_K in range(1, 15):
+        expected = [best(N, max_K) for N in range(8)]
+        for max_m in range(1, 9):
+            products.clear()
+            _num_min_slack(max_m, max_K, 2)
+            tails = products[1::3]
+            assert tails == expected[max_m - 1::-1], (max_m, max_K)
+            checked += len(tails)
+    assert checked == 14 * 36
+
+
+def test_num_reaches_long_boxes_in_little_memory():
+    # 1,000 tail lengths of ones: a list cap on per-length tail tables
+    # once refused this box; the DP now keeps a few lists of at most
+    # max_m * max_K + 1 sums.
+    start = time.perf_counter()
+    report = check_lemma_num(1000, 1, 2, 1)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        check_lemma_num(1000, 1, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == LemmaReport("num", dict(zip(NUM_FIELDS, (1000, 1, 2, 1))),
+                                 500_500, 0, [], (NUM_NOTE,))
+    assert elapsed < 0.5, elapsed
+    assert peak < 2**20, peak
 
 
 def test_num_largest_dp_within_the_default_budget_reports_in_under_2_s():
-    # Among the boxes whose lists fit and whose count fits the default
-    # budget, (2, 2581, 2, 1) has the largest DP work: the work cap lets it
-    # through, and its report takes about 0.7 s.
-    assert _num_work(2, 2581, 2) == 13_344_069 <= NUM_WORK_CAP
+    # Among the boxes whose count fits the default budget, (2, 2581, 2, 1)
+    # has the largest DP work: the work cap lets it through, and its
+    # report takes about 0.6 s.
+    assert _num_work(2, 2581, 2) == 13_341_438 <= NUM_WORK_CAP
     start = time.perf_counter()
     report = check_lemma_num(2, 2581, 2, 1)
     elapsed = time.perf_counter() - start
@@ -965,45 +1017,56 @@ def test_num_largest_dp_within_the_default_budget_reports_in_under_2_s():
 
 
 def test_num_work_cap_refuses_no_box_within_the_default_budget():
-    # The count grows with max_q and max_ell, and the work with max_ell, so
-    # for each (max_m, max_K) under the list cap the largest max_ell whose
-    # q = 1 count fits the default budget has the largest work.
+    # The count grows with max_q, max_K and max_ell, and the work with
+    # max_ell, so for each (max_m, max_K) the largest max_ell whose q = 1
+    # count fits the default budget has the largest work.  The largest
+    # max_K that fits falls as max_m grows, to 1 for the long boxes, whose
+    # count is C(max_m + max_ell, max_m) - max_m - 1 (Vandermonde's
+    # identity): so each box costs O(1) but the few past the largest max_K.
+    def count(m, K, ell):
+        if K == 1:
+            return math.comb(m + ell, m) - m - 1
+        return _num_count(m, K, ell, 1)
+
+    assert all(count(m, 1, ell) == _num_count(m, 1, ell, 1)
+               for m in range(1, 40) for ell in range(2, 9))
     largest = pairs = 0
-    m = 2
-    while (m + 10) * (m + 1) <= NUM_TABLE_CAP:
-        ell = 1
-        while _num_count(m, 1, ell + 1, 1) <= DEFAULT_TUPLE_BUDGET:
+    m, top = 2, math.inf  # top: the largest max_K that fits at m - 1
+    while count(m, 1, 2) <= DEFAULT_TUPLE_BUDGET:
+        ell = 2
+        while count(m, 1, ell + 1) <= DEFAULT_TUPLE_BUDGET:
             ell += 1
         K = 1
-        while (m + 10) * (m * K + 1) <= NUM_TABLE_CAP and ell >= 2:
-            while ell >= 2 and _num_count(m, K, ell, 1) > DEFAULT_TUPLE_BUDGET:
+        while K <= top:
+            while ell >= 2 and count(m, K, ell) > DEFAULT_TUPLE_BUDGET:
                 ell -= 1
-            if ell >= 2:
-                pairs += 1
-                largest = max(largest, _num_work(m, K, ell))
+            if ell < 2:
+                break
+            pairs += 1
+            largest = max(largest, _num_work(m, K, ell))
             K += 1
-        m += 1
-    assert pairs == 3407
+        m, top = m + 1, K - 1
+    assert (m, pairs) == (4472, 7568)
     assert largest == _num_work(2, 2581, 2) <= NUM_WORK_CAP
 
 
 @pytest.mark.parametrize("box, budget, message", [
     # walks of the whole default budget that took 8.1, 8.2 and 6.5 s
     ((10**9, 1, 2, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP lists of 1000000011000000010 entries exceed cap 100000"),
+     "num DP work of 500000153499999949 steps exceeds cap 14000000"),
     ((2, 10**6, 2, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP lists of 24000012 entries exceed cap 100000"),
+     "num DP work of 2000007000249 steps exceeds cap 14000000"),
     ((2, 1, 10**8, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP work of 25799999793 steps exceeds cap 14000000"),
-    # the widest box past the list cap whose count fits the default
-    # budget: its walk took 13.7 s to print the report
-    ((4471, 1, 2, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP lists of 20039032 entries exceed cap 100000"),
+     "num DP work of 25799999742 steps exceeds cap 14000000"),
+    # the shortest box of ones past the work cap: the widest box whose
+    # count fits the default budget, (4471, 1, 2, 1), reports in about 1 s
+    ((5141, 1, 2, 1), DEFAULT_TUPLE_BUDGET,
+     "num DP work of 14004033 steps exceeds cap 14000000"),
     # a DP of about 2 minutes, and one of 1.3 s over 10^5 rows of tiny lists
     ((3, 2563, 40, 1), 10**18,
-     "num DP work of 2057005056 steps exceeds cap 14000000"),
+     "num DP work of 2050433424 steps exceeds cap 14000000"),
     ((3, 1, 10**5, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP work of 41399688 steps exceeds cap 14000000"),
+     "num DP work of 41399586 steps exceeds cap 14000000"),
 ])
 def test_num_boxes_past_a_cap_are_refused_at_once(box, budget, message):
     start = time.perf_counter()

@@ -303,7 +303,7 @@ def reference_case2(d, betas, jets, orders):
     nodes = [b % d for b in betas]
     pairs = [[] for _ in range(d)]
     for i, jet in enumerate(jets):
-        lifted = jet.truncate(min(jet.bound, orders[i])).with_bound(bound)
+        lifted = jet.truncate(orders[i])
         for q, alpha in enumerate(lagrange_column(d, nodes, i)):
             pairs[q] += scale(d, lifted, alpha).terms.items()
     return tuple(series_sum(d, jets[0].variables, bound, p) for p in pairs)

@@ -30,10 +30,8 @@ def test_zero_coefficients_dropped():
 def test_truncate_and_lift():
     a = s(5, {(3, 0): 1, (1, 0): 1})
     assert a.truncate(2) == s(2, {(1, 0): 1})
-    lifted = a.truncate(2).with_bound(4)
+    lifted = a.truncate(2).truncate(4)
     assert lifted.bound == 4 and lifted.terms == {(1, 0): Fraction(1)}
-    with pytest.raises(ValueError):
-        a.with_bound(3)
 
 
 def test_collect_terms_filters():
@@ -99,7 +97,6 @@ def test_arithmetic_results_keep_constructor_invariants(data):
         st.tuples(st.integers(0, 7), st.integers(0, 7)), coeffs, max_size=8))
     results = [collect_terms(U, data.draw(st.integers(0, 8)), pairs.items()),
                a.truncate(data.draw(st.integers(0, 8))),
-               a.with_bound(a.bound + data.draw(st.integers(0, 3))),
                reassemble_ramified(decompose_jet_ramified(a, d), d, U, a.bound),
                reassemble_ramified(down, d, U, data.draw(st.integers(0, 8)))]
     results += decompose_jet_ramified(a, d)
