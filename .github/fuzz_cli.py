@@ -10,10 +10,10 @@ Each call runs in a fresh process under ``timeout``.  The run fails when any
 call prints a traceback, exits outside {0, 1, 2, 3} (a timeout exits 124)
 or takes longer than BOUND seconds.  The slowest default-budget calls in
 the draw space are num boxes whose DP only just fits its work cap, such as
---max-m 8 --max-K 10 --max-ell 1000, and local-model --d 10 --trials 1000:
-about 1.0 s and 0.75 s in a fresh process on a 2-vCPU VM, so BOUND leaves
-3.5x for a slower runner.  The seed-0 draw took 15 s in all there, 0.71 s
-the slowest call.  It needs the ``cycliccover`` console script on PATH
+--max-m 12 --max-K 10 --max-ell 1000, and local-model --d 10 --trials
+1000: about 1.0-1.2 s and 0.75 s in a fresh process on a 2-vCPU VM, so
+BOUND leaves about 3x for a slower runner.  The seed-0 draw took 15-23 s
+in all there, 0.7-1.3 s the slowest call.  It needs the ``cycliccover`` console script on PATH
 (``pip install -e .``):
 
     python3 .github/fuzz_cli.py

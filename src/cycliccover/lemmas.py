@@ -64,13 +64,15 @@ DEFAULT_COLENGTH_CAP = 12
 DEFAULT_TUPLE_BUDGET = 10**7
 # check_lemma_num refuses, before any work, a num box of max_m >= 2 whose
 # DP would do more than NUM_WORK_CAP steps (_num_work, O(1) in the box).
-# The DP keeps fewer than 10 lists of at most max_m * max_K + 1 sums, and
-# the cap admits no box past max_m * max_K = 5,286, so it bounds the DP's
-# memory as well as its time: every num call costs a closed form, one DP
+# The DP keeps a few lists of at most max_m * max_K sums.  The work counts
+# about 100 steps per item count, and for max_K >= 2 grows as the square of
+# max_m * max_K, so the cap admits no box whose max_m * max_K passes
+# 135,922, that of (135922, 1, 2) (about 5.5 MB traced): it bounds the DP's
+# memory as well as its time.  Every num call costs a closed form, one DP
 # of bounded memory and time, or an immediate refusal, whatever the box and
 # the budget.  The largest work among the boxes whose instance count fits
-# DEFAULT_TUPLE_BUDGET is that of (2, 2581, 2, 1), 13,341,438 steps, and a
-# DP at the work cap takes about 0.4-1.1 s (Python 3.11, 2-vCPU VM).
+# DEFAULT_TUPLE_BUDGET is that of (2, 2581, 2, 1), 6,672,035 steps, and a
+# DP at the work cap takes about 0.4-1.3 s (Python 3.11, 2-vCPU VM).
 NUM_WORK_CAP = 14 * 10**6
 
 
@@ -330,8 +332,10 @@ def check_lemma_num(
         before any work, with no partial report;
       * any other box runs the DP (_num_min_slack), which computes the
         least q = 1 slack of the program's own tau over every (head, tail)
-        without listing them.  It assumes nothing about tau, so it does
-        not rest on the proof in the module docstring.
+        without listing them: one max-plus knapsack over items, each a
+        head pair or a tail part, where a part K_j is worth K_j // 2, its
+        floor(K_j / (q + 1)) at q = 1.  It assumes nothing about tau, so
+        it does not rest on the proof in the module docstring.
 
     A least slack >= 0 means no instance fails, so the closed-form count
     (_num_count) decides the rest: within the budget it is the report's,
@@ -440,62 +444,52 @@ def _num_work(max_m: int, max_K: int, max_ell: int) -> int:
     len(a) * len(b) element steps and a charge of 50 per _maxplus(a, b)
     call, plus one per tau call.  The charge stands for a call's own cost
     and the list work around it, which dominate on short lists: (3, 1,
-    10^5) has 1.4 M steps and tau calls and 0.8 M calls, and takes about
-    1.3 s, where a step of a long product takes about 50 ns.
+    10^5) has 0.8 M steps and tau calls and 0.5 M calls, and takes about
+    1.4 s, where a step of a long product takes about 50 ns.
 
-    Each L computes one tau row of max_m * max_K values and makes 3 max_m
-    - 1 products.  Sums of j pairs take j * (max_K - 1) + 1 values, and
-    adding a pair is a product with the max_K values of one pair: for m =
-    1..max_m the below of m - 1 pairs becomes the heads of m pairs, and,
-    but for m = max_m, the below of m pairs.  The heads, (max_K - 1) m + 1
-    values, then meet the tails of (max_m - m) max_K + 1 values.  The sums
-    over m are polynomials in max_m, so the count costs O(1) whatever
-    max_m is.
+    Each L computes one tau row of max_m * max_K values and makes 2 max_m
+    - 1 products, each with a list of the max_K values of one item.  Sums
+    of j items take j * (max_K - 1) + 1 values, and for r = 1..max_m the
+    below of r - 1 items meets the pair at l = L and, but for r = max_m,
+    the item list.  B sums the below lengths over r and last is the one
+    at r = max_m, so the count costs O(1) whatever max_m is.
     """
     M, K = max_m, max_K
-    s1, s2 = M * (M + 1) // 2, M * (M + 1) * (2 * M + 1) // 6
-    below = (K - 1) * (s1 - M) + M  # the below lengths summed over m
-    by_pair = K * (2 * below - (K - 1) * (M - 1) - 1)  # but the last below
-    pair_off = (K - 1) * K * (M * s1 - s2) + (K - 1) * s1 + K * (M * M - s1) + M
-    return (max_ell - 1) * (M * K + 50 * (3 * M - 1) + by_pair + pair_off)
+    B = (K - 1) * M * (M - 1) // 2 + M
+    last = (K - 1) * (M - 1) + 1
+    return (max_ell - 1) * (M * K + 50 * (2 * M - 1) + K * (2 * B - last))
 
 
 def _num_min_slack(max_m: int, max_K: int, max_ell: int) -> int:
-    """The least q = 1 slack tau(HK + TS, L) - H - T over the (head, tail)
-    pairs of a num box, found without listing them.
+    """The least q = 1 slack tau(K, L) - S over the (head, tail) pairs of a
+    num box, found without listing them: K is the sum of every K_i, L the
+    head's largest l and S the left side at q = 1.
 
-    A head of m pairs enters the slack only through its K sum HK, its
-    largest l, L, and its tau sum H, and a tail of n parts only through its
-    sum TS and its T = sum floor(K_j / 2).  So only the largest H per
-    (m, L, HK) matters, a max-plus knapsack over dense lists indexed by the
-    sum, and the largest T per TS over tails of at most N = max_m - m
-    parts, which is min(TS // 2, N * (max_K // 2)) in closed form: T is
-    (TS - the number of odd parts) / 2, no part adds more than max_K // 2,
-    and some tail reaches the smaller bound.  As a list by TS it is a slice
-    of the floors x // 2 up to N * (max_K - max_K % 2), then that
-    bound repeated.  One more max-plus product per (m, L) pairs them off.
-    Nothing about tau is assumed: every value comes from tau itself.
+    Call the pairs and the tail parts items.  An instance of r = m + n
+    items, 1 <= r <= max_m, is one pair with l = L and r - 1 other items,
+    each a pair with l <= L or a tail part, and at q = 1 a part K_j is
+    worth floor(K_j / (q + 1)) = K_j // 2.  An item enters the slack only
+    through its K and its worth, so the other r - 1 items matter only
+    through the largest worth per K sum: a max-plus knapsack over one item
+    list, item[K - 1] = max(K // 2, tau(K, l) over l <= L), which takes
+    every (m, n) split of r at once.  One product with the pair at l = L
+    then gives the best S per K, against tau(K, L).  Nothing about tau is
+    assumed: every value comes from tau itself.
     """
-    odd = max_K % 2
-    floors = [x // 2 for x in range((max_m - 1) * (max_K - odd) + 1)]
     least = None
+    item = [K // 2 for K in range(1, max_K + 1)]
     for L in range(2, max_ell + 1):
         rhs = [tau(K, L) for K in range(1, max_m * max_K + 1)]
         with_L = rhs[:max_K]
-        # best_pair[K - 1]: the largest tau(K, l) over l <= L
-        best_pair = list(map(max, best_pair, with_L)) if L > 2 else with_L
-        below = [0]  # the largest H of m - 1 pairs with l <= L, by HK - m + 1
-        for m in range(1, max_m + 1):
-            heads = _maxplus(below, with_L)  # one pair has l = L; HK >= m
-            N = max_m - m
-            tails = (floors[:N * (max_K - odd) + 1]
-                     + [N * (max_K // 2)] * (N * odd))
-            sums = _maxplus(heads, tails)
-            slack = min(r - s for r, s in zip(rhs[m - 1:], sums))
+        item = list(map(max, item, with_L))
+        below = [0]  # the best worth of r - 1 items, by K sum - r + 1
+        for r in range(1, max_m + 1):
+            best = _maxplus(below, with_L)  # by K sum - r
+            slack = min(map(operator.sub, rhs[r - 1:r - 1 + len(best)], best))
             if least is None or slack < least:
                 least = slack
-            if m < max_m:
-                below = _maxplus(below, best_pair)
+            if r < max_m:
+                below = _maxplus(below, item)
     return least
 
 

@@ -498,10 +498,10 @@ def test_closed_stdout_exits_141_without_a_traceback():
 
 @pytest.mark.parametrize("max_K, max_ell, refusal", [
     pytest.param(10**8, 3,
-                 "num DP work of 380000001600001088 steps exceeds cap 14000000",
+                 "num DP work of 180000000400000700 steps exceeds cap 14000000",
                  id="100000000-3"),
     pytest.param(3, 10**8,
-                 "num DP work of 73899999261 steps exceeds cap 14000000",
+                 "num DP work of 43699999563 steps exceeds cap 14000000",
                  id="3-100000000"),
 ])
 def test_verify_lemma_num_huge_box_at_budget_zero_is_bounded(max_K, max_ell,
@@ -524,7 +524,7 @@ def test_verify_lemma_num_huge_box_at_large_budget_is_bounded():
         "--budget", "3000000")
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        3, "", "budget exhausted: num DP work of 380000001600001088 steps "
+        3, "", "budget exhausted: num DP work of 180000000400000700 steps "
                "exceeds cap 14000000\n")
     cpu_s = (after.ru_utime - before.ru_utime
              + after.ru_stime - before.ru_stime)

@@ -656,7 +656,7 @@ def test_lemma_num_cut_inside_a_huge_q_range_matches_reference(monkeypatch):
     assert elapsed < 1.0, elapsed
 
 
-@pytest.mark.parametrize("cap, refused", [(0, 48), (700, 32), (1500, 9)],
+@pytest.mark.parametrize("cap, refused", [(0, 48), (700, 17), (1500, 1)],
                          ids=["0", "700", "1500"])
 def test_lemma_num_matches_reference_past_work_cap(monkeypatch, cap, refused):
     # A box of two pairs or more whose DP work passes the cap is refused at
@@ -694,7 +694,7 @@ def test_lemma_num_huge_max_K_is_refused_before_any_work():
     finally:
         tracemalloc.stop()
     assert str(exc_info.value) == (
-        "num DP work of 380000001600001088 steps exceeds cap 14000000")
+        "num DP work of 180000000400000700 steps exceeds cap 14000000")
     assert exc_info.value.partial_report is None
     assert peak < 2**20, peak
 
@@ -717,7 +717,7 @@ def test_lemma_num_head_pairs_stay_under_the_cap():
 
 def test_lemma_num_huge_max_m_is_refused_before_any_work():
     # 10^8 tail lengths: the DP's work, counted in closed form, would be
-    # about 5 * 10^15 steps, so the box is refused at once, where a walk
+    # about 10^10 steps, so the box is refused at once, where a walk
     # per tail length once took over 100 MB and a tau row up to max_m
     # 4.8 MB.
     tracemalloc.start()
@@ -728,21 +728,21 @@ def test_lemma_num_huge_max_m_is_refused_before_any_work():
     finally:
         tracemalloc.stop()
     assert str(exc_info.value) == (
-        "num DP work of 5000015349999949 steps exceeds cap 14000000")
+        "num DP work of 10299999949 steps exceeds cap 14000000")
     assert exc_info.value.partial_report is None
     assert peak < 2**20, peak
 
 
 def test_lemma_num_long_tails_are_refused_at_once():
-    # 20,000 tail lengths of ones: summing each tail, as the walk once did,
-    # took 22 s to reach the cut; the DP's work would be 406,139,898
-    # steps, so the box is refused before any work.
+    # 100,000 tail lengths of ones: summing each tail, as the walk once did,
+    # took 22 s to reach the cut at 20,000; the DP's work would be
+    # 20,599,898 steps, so the box is refused before any work.
     start = time.perf_counter()
     with pytest.raises(ResourceBudgetError) as exc_info:
-        check_lemma_num(20000, 1, 3, 2, budget=100000)
+        check_lemma_num(100000, 1, 3, 2, budget=100000)
     elapsed = time.perf_counter() - start
     assert str(exc_info.value) == (
-        "num DP work of 406139898 steps exceeds cap 14000000")
+        "num DP work of 20599898 steps exceeds cap 14000000")
     assert exc_info.value.partial_report is None
     assert elapsed < 0.1, elapsed
 
@@ -945,25 +945,26 @@ def test_num_work_equals_an_instrumented_count(monkeypatch):
         assert _num_work(*box) == steps + 50 * calls + taus, box
     # the count is a polynomial in max_m, evaluated at once
     start = time.perf_counter()
-    assert _num_work(10**9, 1, 2) == 500_000_153_499_999_949
+    assert _num_work(10**9, 1, 2) == 102_999_999_949
     assert time.perf_counter() - start < 0.01
 
 
-def test_num_tails_are_the_best_tail_multisets(monkeypatch):
-    # The tails list the DP pairs with the heads of m pairs holds, by sum
-    # TS, the largest sum of floor(K_j / 2) over tails of at most
-    # N = max_m - m parts from 1..max_K; an enumeration of the tail
-    # multisets gives it independently.  The products of one L come three
-    # per m (below by one pair, heads by tails, below by the best pair),
-    # the last m without the third.
-    def best(N, max_K):
-        top = [0] * (N * max_K + 1)
-        for n in range(1, N + 1):
-            for tail in itertools.combinations_with_replacement(
-                    range(1, max_K + 1), n):
-                TS, T = sum(tail), sum(K // 2 for K in tail)
-                top[TS] = max(top[TS], T)
-        return top
+@pytest.mark.parametrize("bent", ["exact", *sorted(BENT_TAUS)])
+def test_num_items_are_the_best_pair_or_part(monkeypatch, bent):
+    # The item list the DP adds to the below holds, by K, the best of a
+    # pair (K, l <= L) and a tail part K, worth K // 2 at q = 1; an
+    # enumeration of both gives it independently.  The products of one L
+    # come two per r (below by the pair at l = L, below by the item list),
+    # the last r without the second.  A bent tau takes each side of the
+    # max somewhere: plus_one_at_K_div_3 a pair above the part,
+    # minus_one_from_K_7 a part above every pair (and, up to K = 14 and
+    # L = 4, no pair above the part).
+    t = BENT_TAUS.get(bent, tau)
+    monkeypatch.setattr(lemmas_module, "tau", t)
+
+    def items(max_K, L):
+        return [max([t(K, l) for l in range(2, L + 1)] + [K // 2])
+                for K in range(1, max_K + 1)]
 
     products = []
 
@@ -972,16 +973,26 @@ def test_num_tails_are_the_best_tail_multisets(monkeypatch):
         return _maxplus(a, b)
 
     monkeypatch.setattr(lemmas_module, "_maxplus", spy)
-    checked = 0
+    pair_wins = part_wins = checked = 0
     for max_K in range(1, 15):
-        expected = [best(N, max_K) for N in range(8)]
         for max_m in range(1, 9):
             products.clear()
-            _num_min_slack(max_m, max_K, 2)
-            tails = products[1::3]
-            assert tails == expected[max_m - 1::-1], (max_m, max_K)
-            checked += len(tails)
-    assert checked == 14 * 36
+            _num_min_slack(max_m, max_K, 4)
+            assert len(products) == 3 * (2 * max_m - 1), (max_m, max_K)
+            for L in range(2, 5):
+                block = products[(L - 2) * (2 * max_m - 1):][:2 * max_m - 1]
+                with_L = [t(K, L) for K in range(1, max_K + 1)]
+                assert block[::2] == [with_L] * max_m, (max_m, max_K, L)
+                assert block[1::2] == [items(max_K, L)] * (max_m - 1), (
+                    max_m, max_K, L)
+                checked += max_m - 1
+        for L in range(2, 5):
+            for K, best in enumerate(items(max_K, L), 1):
+                pair_wins += best > K // 2
+                part_wins += best > max(t(K, l) for l in range(2, L + 1))
+    assert checked == 14 * 28 * 3
+    assert (pair_wins > 0, part_wins > 0) == (
+        (False, True) if bent == "minus_one_from_K_7" else (True, False))
 
 
 def test_num_reaches_long_boxes_in_little_memory():
@@ -1006,13 +1017,31 @@ def test_num_reaches_long_boxes_in_little_memory():
 def test_num_largest_dp_within_the_default_budget_reports_in_under_2_s():
     # Among the boxes whose count fits the default budget, (2, 2581, 2, 1)
     # has the largest DP work: the work cap lets it through, and its
-    # report takes about 0.6 s.
-    assert _num_work(2, 2581, 2) == 13_341_438 <= NUM_WORK_CAP
+    # report takes about 0.5 s.
+    assert _num_work(2, 2581, 2) == 6_672_035 <= NUM_WORK_CAP
     start = time.perf_counter()
     report = check_lemma_num(2, 2581, 2, 1)
     elapsed = time.perf_counter() - start
     assert report == LemmaReport("num", dict(zip(NUM_FIELDS, (2, 2581, 2, 1))),
                                  9_996_213, 0, [], (NUM_NOTE,))
+    assert elapsed < 2, elapsed
+
+
+def test_num_long_box_of_ones_is_cut_in_under_2_s():
+    # 130,000 item counts of ones fit the work cap, so the DP finds slack 0
+    # and the closed-form count makes the cut at the default budget.  The
+    # slack of r items reads only the len(best) sums of the tau row it
+    # meets: slicing the row to its end copied O(max_m^2) items, and took
+    # this box's DP 31 s.
+    assert _num_work(130000, 1, 2) <= NUM_WORK_CAP
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError) as exc_info:
+        check_lemma_num(130000, 1, 2, 1)
+    elapsed = time.perf_counter() - start
+    assert str(exc_info.value) == "instance budget 10000000 exceeded"
+    assert exc_info.value.partial_report == LemmaReport(
+        "num", dict(zip(NUM_FIELDS, (130000, 1, 2, 1))), 10**7, 0, [],
+        ("partial: budget exhausted",), partial=True)
     assert elapsed < 2, elapsed
 
 
@@ -1053,21 +1082,22 @@ def test_num_work_cap_refuses_no_box_within_the_default_budget():
 @pytest.mark.parametrize("box, budget, message", [
     # walks of the whole default budget that took 8.1, 8.2 and 6.5 s
     ((10**9, 1, 2, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP work of 500000153499999949 steps exceeds cap 14000000"),
+     "num DP work of 102999999949 steps exceeds cap 14000000"),
     ((2, 10**6, 2, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP work of 2000007000249 steps exceeds cap 14000000"),
+     "num DP work of 1000004000150 steps exceeds cap 14000000"),
     ((2, 1, 10**8, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP work of 25799999742 steps exceeds cap 14000000"),
-    # the shortest box of ones past the work cap: the widest box whose
-    # count fits the default budget, (4471, 1, 2, 1), reports in about 1 s
-    ((5141, 1, 2, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP work of 14004033 steps exceeds cap 14000000"),
-    # a DP of about 2 minutes, and one of 1.3 s over 10^5 rows of tiny lists
+     "num DP work of 15499999845 steps exceeds cap 14000000"),
+    # the shortest box of ones past the work cap: (135922, 1, 2, 1) fits it
+    # and ends at a budget cut (test_num_long_box_of_ones_is_cut_in_under_2_s)
+    ((135923, 1, 2, 1), DEFAULT_TUPLE_BUDGET,
+     "num DP work of 14000018 steps exceeds cap 14000000"),
+    # a DP of about a minute, and one of 1.4 s over 10^5 rows of tiny lists
     ((3, 2563, 40, 1), 10**18,
-     "num DP work of 2050433424 steps exceeds cap 14000000"),
+     "num DP work of 1025168742 steps exceeds cap 14000000"),
     ((3, 1, 10**5, 1), DEFAULT_TUPLE_BUDGET,
-     "num DP work of 41399586 steps exceeds cap 14000000"),
-])
+     "num DP work of 25799742 steps exceeds cap 14000000"),
+], ids=["1000000000-1-2", "2-1000000-2", "2-1-100000000", "135923-1-2",
+        "3-2563-40", "3-1-100000"])
 def test_num_boxes_past_a_cap_are_refused_at_once(box, budget, message):
     start = time.perf_counter()
     with pytest.raises(ResourceBudgetError) as exc_info:
