@@ -18,27 +18,12 @@ only for the layers it runs.
 
 import importlib
 
-__all__ = [
-    "CoveringScenario",
-    "CriterionVerdict",
-    "PositivityProfile",
-    "ResourceBudgetError",
-    "SingularSystemError",
-    "explain_requirement",
-    "gamma",
-    "max_guaranteed_jet_order",
-    "max_guaranteed_very_order",
-    "sigma",
-    "sigma_table",
-    "tau",
-]
-
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset({
     "combinatorics", "lemmas", "engine", "catalog", "cyclotomic", "series",
     "localmodel", "cli", "errors"})
-# The submodule each name in __all__ comes from.
+# The public names, each with the submodule it comes from.
 _SOURCE = {
     "gamma": "combinatorics", "sigma": "combinatorics",
     "sigma_table": "combinatorics", "tau": "combinatorics",
@@ -48,6 +33,7 @@ _SOURCE = {
     "max_guaranteed_very_order": "engine",
     "ResourceBudgetError": "errors", "SingularSystemError": "errors",
 }
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name):

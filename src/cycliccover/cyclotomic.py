@@ -57,7 +57,7 @@ def _field(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     -sum(c * x^i for i, c in low) modulo Phi_order."""
     phi = cyclotomic_polynomial(order)
     n = len(phi) - 1
-    return n, tuple((i, c) for i, c in enumerate(phi[:n]) if c)
+    return n, tuple([(i, c) for i, c in enumerate(phi[:n]) if c])
 
 
 def _reduce(v: list[int], field: tuple) -> list[int]:
@@ -99,7 +99,8 @@ def power_sum(order: int, den: int, coeffs) -> "CyclotomicNumber":
 
 class CyclotomicNumber:
     """An element of Q(zeta_d), immutable and hashable; build one with
-    power_sum."""
+    power_sum.  Not a namedtuple: a tuple subclass would equal the plain
+    tuple (order, den, nums) yet hash differently."""
 
     __slots__ = ("order", "den", "nums")
 

@@ -35,7 +35,8 @@ class PositivityProfile:
     0 global generation, 1 very ampleness, and so on.  Missing q reads
     as (-1, -1).  An order-k guarantee implies all lower orders.  The
     entries are checked, then kept as a private copy that ``entries``
-    shows read-only; profiles are immutable and hash by value.
+    shows read-only; profiles are immutable and hash by value.  Not a
+    namedtuple, so that lookups read the private dict (BENCH_12.json).
     """
 
     __slots__ = ("entries", "_orders")

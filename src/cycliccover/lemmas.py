@@ -356,7 +356,7 @@ def check_lemma_num(
 
     box = {"max_m": max_m, "max_K": max_K, "max_ell": max_ell, "max_q": max_q}
     least = 0
-    if max_m > 1:  # the work first: _num_count loops over m
+    if max_m > 1:  # the work cap refuses a box before the DP runs
         work = _num_work(max_m, max_K, max_ell)
         if work > NUM_WORK_CAP:
             raise ResourceBudgetError(
@@ -387,7 +387,7 @@ def _num_walk(max_m: int, max_K: int, max_ell: int, max_q: int, budget: int,
     one budget check per instance, so a cut raises with the partial report
     before instance budget + 1, after one step per instance.
     check_lemma_num runs it only where the DP has found a negative least
-    slack, on a box that fits both caps.  The first head's tails cost an
+    slack, on a box that fits the work cap.  The first head's tails cost an
     instance each, and so does each one-pair head, so the cut comes before
     head pair budget + 1 or tail part budget + 1: neither pool holds more
     than budget + 1 items.
@@ -428,15 +428,17 @@ def _num_walk(max_m: int, max_K: int, max_ell: int, max_q: int, budget: int,
 
 
 def _num_count(max_m: int, max_K: int, max_ell: int, max_q: int) -> int:
-    """Instances of a num box in closed form: head multisets of m pairs
-    times tail multisets of up to max_m - m parts, each non-empty tail
-    counting max_q instances.  The tails of 1..N parts from 1..max_K are
-    C(max_K + N, N) - 1 in all (the hockey-stick identity).  With max_q = 1
-    this counts the (head, tail) pairs."""
-    pairs = max_K * (max_ell - 1)
-    return sum(math.comb(pairs + m - 1, m)
-               * (1 + max_q * (math.comb(max_K + max_m - m, max_m - m) - 1))
-               for m in range(1, max_m + 1))
+    """Instances of a num box in closed form.  With P = max_K * (max_ell -
+    1) pairs, K = max_K and M = max_m, the heads (multisets of 1..M pairs)
+    are C(P + M, M) - 1 by the hockey-stick identity, and the splits (a
+    head of m pairs with a tail multiset of up to M - m parts from 1..K)
+    are C(P + K + M, M) - C(K + M, M) by Vandermonde's identity, summed
+    over m = 0..M less the m = 0 term.  A split with an empty tail is one
+    instance, any other max_q, one per q."""
+    P, K, M = max_K * (max_ell - 1), max_K, max_m
+    heads = math.comb(P + M, M) - 1
+    splits = math.comb(P + K + M, M) - math.comb(K + M, M)
+    return heads + max_q * (splits - heads)
 
 
 def _num_work(max_m: int, max_K: int, max_ell: int) -> int:

@@ -96,7 +96,7 @@ def vandermonde_sweep(d: int) -> list[tuple[CyclotomicNumber, ...]]:
     """For l = 1..d, the alphas of vandermonde_residual's system at the nodes
     0..l-1: the prefixes of _node_products at the offsets 1..d-1, one
     reduction mod Phi_d per alpha."""
-    return [tuple(power_sum(d, den, c) for c in coeffs)
+    return [tuple([power_sum(d, den, c) for c in coeffs])
             for den, coeffs in _node_products(d, range(1, d))]
 
 
@@ -158,7 +158,7 @@ def vandermonde_residual(
         for c, nums in enumerate(scaled):
             for i, x in enumerate(nums, c * node):
                 row[i % d] += x
-    return tuple(power_sum(d, den, row) for row in rows)
+    return tuple([power_sum(d, den, row) for row in rows])
 
 
 def _check_fiber(d: int, nodes: list[int]) -> None:
@@ -293,7 +293,7 @@ class RamifiedConstruction(namedtuple("RamifiedConstruction",
     @property
     def component_orders(self) -> tuple[int, ...]:
         """Max base-coordinate degree of each component (-1 if zero)."""
-        return tuple(c.total_degree() for c in self.components)
+        return tuple([c.total_degree() for c in self.components])
 
     def reassembled(self) -> TruncatedSeries:
         return reassemble_ramified(self.components, self.d,
@@ -350,7 +350,7 @@ def run_case2_trial(rng: random.Random, max_d: int = 6) -> dict:
             # random() < 0.5, read as the top bit of its first 32-bit word
             if sum(exps) < order and not rng.getrandbits(64) >> 31 & 1:
                 terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        jets.append(TruncatedSeries(variables, order, terms))
+        jets.append(collect_terms(variables, order, terms.items()))
     section = case2_construct(d, betas, jets, orders)
     ok = []
     for i, beta in enumerate(betas):

@@ -3,15 +3,19 @@
 A TruncatedSeries models a jet: an element of O/m^K, i.e. only terms of
 total degree strictly below the bound K are kept.  Coefficients are exact
 (Fraction or CyclotomicNumber); equality of jets is literal equality of
-term maps.  The series carries no ring arithmetic: the local model builds
-each coefficient itself and hands the terms to collect_terms, which keeps
-those below the bound with a nonzero coefficient.  Terms are validated
-once, where a series is built from outside; collect_terms and truncate
-build valid series and skip the checks.
+term maps.  A series is a namedtuple value class (variables, bound, terms),
+so no field can be assigned; it keeps a __hash__ of its own, since terms
+is a dict (a plain tuple equal to a series holds that dict, so it has no
+hash to disagree with).  The series carries no ring arithmetic: the local
+model builds each coefficient itself and hands the terms to collect_terms,
+which keeps those below the bound with a nonzero coefficient.  Terms are
+validated once, in __new__, where a series is built from outside;
+collect_terms and truncate build valid series and skip the checks.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
 Exponents = tuple[int, ...]
@@ -19,11 +23,7 @@ Exponents = tuple[int, ...]
 
 def _make(variables, bound: int, terms) -> "TruncatedSeries":
     """A series from terms already valid for (variables, bound); unchecked."""
-    series = object.__new__(TruncatedSeries)
-    object.__setattr__(series, "variables", variables)
-    object.__setattr__(series, "bound", bound)
-    object.__setattr__(series, "terms", terms)
-    return series
+    return tuple.__new__(TruncatedSeries, (variables, bound, terms))
 
 
 def collect_terms(variables: tuple[str, ...], bound: int,
@@ -36,11 +36,11 @@ def collect_terms(variables: tuple[str, ...], bound: int,
                                     if sum(e) < bound and c != 0})
 
 
-class TruncatedSeries:
-    __slots__ = ("variables", "bound", "terms")
+class TruncatedSeries(namedtuple("TruncatedSeries", "variables bound terms")):
+    __slots__ = ()
 
-    def __init__(self, variables: Iterable[str], bound: int,
-                 terms: Mapping[Exponents, object] | None = None):
+    def __new__(cls, variables: Iterable[str], bound: int,
+                terms: Mapping[Exponents, object] | None = None):
         variables = tuple(variables)
         if bound < 0:
             raise ValueError(f"truncation bound must be >= 0, got {bound}")
@@ -57,12 +57,7 @@ class TruncatedSeries:
                     f"term {exps} has total degree >= bound {bound}")
             if coeff != 0:
                 clean[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("TruncatedSeries is immutable")
+        return _make(variables, bound, clean)
 
     # -- queries -------------------------------------------------------------
 
@@ -81,14 +76,7 @@ class TruncatedSeries:
         return _make(self.variables, bound,
                      {e: c for e, c in self.terms.items() if sum(e) < bound})
 
-    # -- comparison / display --------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.variables == other.variables
-                and self.bound == other.bound
-                and self.terms == other.terms)
+    # -- hashing / display -----------------------------------------------------
 
     def __hash__(self):
         return hash((self.variables, self.bound,

@@ -9,6 +9,7 @@ with the environment (a site-packages ``.pth`` file may preload
 """
 
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -148,6 +149,20 @@ def test_every_export_and_layer_resolves():
         module = getattr(cycliccover, layer)
         assert module.__name__ == f"cycliccover.{layer}"
     assert set(cycliccover.__all__) | set(LAYERS) <= set(dir(cycliccover))
+
+
+def test_exports_are_pinned_to_their_source_modules():
+    sources = {
+        "CoveringScenario": "engine", "CriterionVerdict": "engine",
+        "PositivityProfile": "engine", "ResourceBudgetError": "errors",
+        "SingularSystemError": "errors", "explain_requirement": "engine",
+        "gamma": "combinatorics", "max_guaranteed_jet_order": "engine",
+        "max_guaranteed_very_order": "engine", "sigma": "combinatorics",
+        "sigma_table": "combinatorics", "tau": "combinatorics"}
+    assert cycliccover.__all__ == list(sources)
+    for name, module in sources.items():
+        source = importlib.import_module(f"cycliccover.{module}")
+        assert getattr(cycliccover, name) is getattr(source, name), name
 
 
 def test_star_import_binds_every_export():

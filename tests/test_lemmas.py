@@ -851,6 +851,33 @@ def test_num_count_equals_the_walk_on_every_grid_box():
         assert _num_count(*box) == walk_report(box).instances_checked, box
 
 
+def num_count_by_m(max_m, max_K, max_ell, max_q):
+    """The instance count as a sum over the head size m: head multisets of
+    m pairs times tail multisets of up to max_m - m parts, each non-empty
+    tail counting max_q instances."""
+    pairs = max_K * (max_ell - 1)
+    return sum(math.comb(pairs + m - 1, m)
+               * (1 + max_q * (math.comb(max_K + max_m - m, max_m - m) - 1))
+               for m in range(1, max_m + 1))
+
+
+def test_num_count_closed_form_equals_the_sum_over_m():
+    for max_m, max_K, max_ell in itertools.product(
+            range(1, 13), range(1, 13), range(2, 9)):
+        for max_q in (1, 2, 5, 10**9):
+            box = (max_m, max_K, max_ell, max_q)
+            assert _num_count(*box) == num_count_by_m(*box), box
+    # long boxes: the closed form costs the same whatever max_m is (best
+    # of five calls, so one preempted call does not fail the bound)
+    elapsed = []
+    for _ in range(5):
+        start = time.perf_counter()
+        count = _num_count(10**9, 1, 2, 1)
+        elapsed.append(time.perf_counter() - start)
+    assert count == 10**9 * (10**9 + 1) // 2
+    assert min(elapsed) < 1e-3, elapsed
+
+
 def test_num_dp_decides_every_box_whose_lists_fit(monkeypatch):
     # With the program's tau and the default budget, the DP decides every
     # box whose count and work fit, small max_ell included, where a walk
@@ -996,9 +1023,8 @@ def test_num_items_are_the_best_pair_or_part(monkeypatch, bent):
 
 
 def test_num_reaches_long_boxes_in_little_memory():
-    # 1,000 tail lengths of ones: a list cap on per-length tail tables
-    # once refused this box; the DP now keeps a few lists of at most
-    # max_m * max_K + 1 sums.
+    # A long box of ones: the DP keeps a few lists of at most
+    # max_m * max_K + 1 sums, so it runs fast in little memory.
     start = time.perf_counter()
     report = check_lemma_num(1000, 1, 2, 1)
     elapsed = time.perf_counter() - start

@@ -51,11 +51,40 @@ def test_total_degree():
     assert s(4, {(2, 1): 3}).total_degree() == 3
 
 
+def test_every_route_to_one_jet_gives_one_value():
+    terms = {(0, 0): Fraction(2), (1, 1): Fraction(-1, 2), (0, 2): Fraction(3)}
+    built = s(3, terms)
+    collected = collect_terms(U, 3, [((2, 1), Fraction(7)), *terms.items(),
+                                     ((1, 0), Fraction(0))])
+    truncated = s(5, {**terms, (3, 0): Fraction(1), (2, 2): Fraction(4)}
+                  ).truncate(3)
+    for other in (collected, truncated):
+        assert other == built and hash(other) == hash(built)
+        assert (other.variables, other.bound, other.terms) == (U, 3, terms)
+    assert len({built, collected, truncated}) == 1
+
+
+def test_fields_cannot_be_assigned():
+    a = s(3, {(1, 0): 1})
+    for field in ("variables", "bound", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+    assert a == s(3, {(1, 0): 1})
+
+
+def test_repr_is_pinned():
+    a = s(4, {(0, 2): 1, (1, 1): Fraction(-1, 2), (0, 0): 2, (3, 0): 5,
+              (1, 0): 0})
+    assert repr(a) == "<(2) + (1)*u2^2 + (-1/2)*u1*u2 + (5)*u1^3 mod deg 4>"
+    assert repr(TruncatedSeries(U, 4)) == "<0 mod deg 4>"
+
+
 # -- built series keep the constructor's invariants ------------------------------
 
 
 def assert_valid(series):
-    """What TruncatedSeries.__init__ enforces, checked on a built series."""
+    """What the TruncatedSeries constructor enforces, checked on a built
+    series."""
     for exps, coeff in series.terms.items():
         assert len(exps) == len(series.variables)
         assert min(exps) >= 0
